@@ -44,71 +44,112 @@ fired) exits 4, any other failed check exits 1, and an ``explore`` run
 that is clean but misses its coverage floor exits 3
 (docs/RECOVERY.md §10).
 
-``run``, ``bench`` and ``soak`` take ``--stream-out FILE`` to write the
-JSONL telemetry stream (deterministic metric deltas at a sim-cycle
-cadence — docs/OBSERVABILITY.md §10) and ``run``/``bench`` take ``--slo
-FILE`` to evaluate a declarative SLO config on it; any breach exits
-with status 3.  ``run`` and ``faults`` keep a flight recorder armed:
-an invariant violation, failed check or unhandled exception dumps a
-post-mortem bundle (default ``FLIGHT_<cmd>.json``; ``--flight-out``
-overrides, and on ``soak`` enables it).
+``--stream-out FILE`` writes the JSONL telemetry stream
+(docs/OBSERVABILITY.md §10; an unwritable path exits 2): metric deltas
+for ``run``/``bench``, which take ``--slo FILE`` to evaluate a
+declarative SLO config on it (any breach exits 3), and shard or
+schedule records for the harnesses.  ``run`` and ``faults`` keep a
+flight recorder armed: an invariant violation, failed check or
+unhandled exception dumps a post-mortem bundle (default
+``FLIGHT_<cmd>.json``; ``--flight-out`` overrides, and on ``soak``,
+``fleet`` and ``explore`` enables it).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
 
 from .common.units import cycles_to_ms
 
 
-def _open_stream(sc, args, *, source: str):
-    """Build the stream + SLO engine a CLI run asked for (or (None,)*3).
+class _Exit(Exception):
+    """Ends a command early with exit status ``code`` (see :func:`main`)."""
 
-    Returns ``(stream, engine, sink)``; exits with code 2 via
-    SystemExit on an unreadable SLO config.
+    def __init__(self, code: int) -> None:
+        super().__init__(code)
+        self.code = code
+
+
+def _open_sink(path: str):
+    """Open a ``--stream-out`` file; exits 2 if it cannot be written."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write stream to {path}: {exc}",
+              file=sys.stderr)
+        raise _Exit(2)
+
+
+def _load_slo(path: str):
+    """Load a ``--slo`` config; exits 2 if it is unreadable."""
+    from .obs.slo import load_slo_config
+
+    try:
+        return load_slo_config(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: bad SLO config {path}: {exc}", file=sys.stderr)
+        raise _Exit(2)
+
+
+@contextlib.contextmanager
+def _record_bus(args, *, source: str):
+    """``--stream-out`` as a pure record bus (``None`` without the flag).
+
+    The harness emits ``shard``/``aggregate`` (or explore) records on
+    it.  Exits 2 if the file cannot be opened; on a clean exit, closes
+    the bus and reports its record count.
     """
-    if not (args.stream_out or args.slo):
-        return None, None, None
-    from .common.units import ms_to_cycles
-    from .obs.slo import SloEngine, load_slo_config
+    if not args.stream_out:
+        yield None
+        return
     from .obs.stream import TelemetryStream
 
-    sink = None
-    if args.stream_out:
+    with _open_sink(args.stream_out) as sink:
+        stream = TelemetryStream(None, interval_cycles=1, sink=sink,
+                                 source=source, seed=args.seed)
         try:
-            sink = open(args.stream_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write stream to {args.stream_out}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-    stream = TelemetryStream(
-        sc.metrics,
-        interval_cycles=ms_to_cycles(args.stream_interval_ms,
-                                     sc.machine.params.cpu.hz),
-        sink=sink, source=source, seed=args.seed)
-    engine = None
-    if args.slo:
-        try:
-            rules = load_slo_config(args.slo)
-        except (OSError, ValueError) as exc:
-            if sink is not None:
-                sink.close()
-            print(f"error: bad SLO config {args.slo}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        engine = SloEngine(rules, metrics=sc.metrics)
-        engine.attach(stream)
-    stream.attach(sc.machine.sim)
-    return stream, engine, sink
+            yield stream
+        finally:
+            stream.close()
+    print(f"wrote {stream.records} telemetry records "
+          f"to {args.stream_out}", file=sys.stderr)
 
 
-def _report_slo(engine) -> int:
-    """Print the SLO verdict; return the command exit code."""
+def _emit_json(payload, out: str | None, *, announce: bool = True) -> None:
+    """Write ``payload`` as sorted-keys JSON to ``out`` (saying so with
+    ``announce``), or to stdout without it; exits 1 if ``out`` cannot be
+    written."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        raise _Exit(1)
+    if announce:
+        print(f"wrote {out}")
+
+
+def _incident_exit(label: str, incident: str | None) -> int:
+    """Report a harness incident; return its exit code (RECOVERY.md §10)."""
+    from .faults.soak import incident_exit_code
+
+    if incident is not None:
+        print(f"{label}: {incident}", file=sys.stderr)
+    return incident_exit_code({"incident": incident})
+
+
+def _report_slo(s: dict) -> int:
+    """Print an SLO summary's verdict; return the command exit code."""
     from .obs.slo import EXIT_SLO_BREACH
 
-    s = engine.summary()
-    if engine.ok:
+    if s["ok"]:
         print(f"SLO: {len(s['rules'])} rule(s), {s['evaluations']} "
               f"evaluations, no breaches")
         return 0
@@ -125,6 +166,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .eval.report import scenario_report
     from .eval.scenarios import build_native, build_virtualized
     from .kernel.core import KernelConfig
+    from .obs.stream import live_stream
 
     if args.native:
         sc = build_native(seed=args.seed, verify=args.verify)
@@ -138,14 +180,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         FlightRecorder(args.flight_out or "FLIGHT_run.json").arm(
             sc.kernel, seed=args.seed,
             context={"command": "run", "guests": args.guests, "ms": args.ms})
-    stream, engine, sink = _open_stream(sc, args, source="run")
-    try:
+    rules = _load_slo(args.slo) if args.slo else None
+    sink = _open_sink(args.stream_out) if args.stream_out else None
+    with live_stream(sc, sink=sink, interval_ms=args.stream_interval_ms,
+                     slo_rules=rules, source="run",
+                     seed=args.seed) as (stream, engine):
         sc.run_ms(args.ms)
-    finally:
-        if stream is not None:
-            stream.close()
-        if sink is not None:
-            sink.close()
     print(scenario_report(sc))
     if args.trace_out:
         from .obs.export import write_chrome_trace
@@ -167,7 +207,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {stream.records} telemetry records "
               f"({stream.deltas} deltas) to {args.stream_out}")
     if engine is not None:
-        return _report_slo(engine)
+        return _report_slo(engine.summary())
     return 0
 
 
@@ -183,31 +223,16 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .eval.bench import default_artifact_path, run_bench, write_bench
+    from .eval.bench import default_artifact_path, run_bench
     from .obs.analytics import SeriesSummary
 
     name = "quick" if args.quick else args.name
-    slo_rules = None
-    if args.slo:
-        from .obs.slo import load_slo_config
-
-        try:
-            slo_rules = load_slo_config(args.slo)
-        except (OSError, ValueError) as exc:
-            print(f"error: bad SLO config {args.slo}: {exc}",
-                  file=sys.stderr)
-            return 2
     payload = run_bench(name, guests=args.guests, ms=args.ms, seed=args.seed,
                         stream_out=args.stream_out,
                         stream_interval_ms=args.stream_interval_ms,
-                        slo_rules=slo_rules)
+                        slo_rules=_load_slo(args.slo) if args.slo else None)
     out = args.out or default_artifact_path(name)
-    try:
-        write_bench(payload, out)
-    except OSError as exc:
-        print(f"error: cannot write benchmark artifact to {out}: {exc}",
-              file=sys.stderr)
-        return 1
+    _emit_json(payload, out, announce=False)
     hz = payload["scenario"]["cpu_hz"]
     print(f"bench '{name}': {payload['scenario']['guests']} guests, "
           f"{payload['scenario']['ms']:g} ms simulated "
@@ -232,26 +257,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.stream_out:
         print(f"wrote telemetry stream to {args.stream_out}")
     if "slo" in payload:
-        from .obs.slo import EXIT_SLO_BREACH
-
-        s = payload["slo"]
-        if s["ok"]:
-            print(f"SLO: {len(s['rules'])} rule(s), {s['evaluations']} "
-                  f"evaluations, no breaches")
-        else:
-            print(f"SLO BREACH: {len(s['breaches'])} breach(es)",
-                  file=sys.stderr)
-            for b in s["breaches"]:
-                print(f"  {b['slo']} ({b['kind']}) at cycle {b['t']}: "
-                      f"observed {b['observed']} vs limit {b['limit']}",
-                      file=sys.stderr)
-            return EXIT_SLO_BREACH
+        return _report_slo(payload["slo"])
     return 0
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    import json
-
     from .faults.matrix import SCENARIOS, run_all, run_scenario
 
     if args.list_sites:
@@ -287,17 +297,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit_json(payload, args.out)
     ok = payload["ok"]
     if not ok:
         print("FAULT MATRIX: one or more checks failed "
@@ -306,117 +306,59 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
-    import json
-
     from .faults.soak import run_soak, run_vm_soak
 
-    stream = sink = None
-    if args.stream_out:
-        from .obs.stream import TelemetryStream
-
-        try:
-            sink = open(args.stream_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write stream to {args.stream_out}: {exc}",
-                  file=sys.stderr)
-            return 2
-        # A pure record bus: the soak emits one ``shard`` snapshot per
-        # run plus the merged ``aggregate`` fleet view.
-        stream = TelemetryStream(None, interval_cycles=1, sink=sink,
-                                 source="soak", seed=args.seed)
-    try:
+    with _record_bus(args, source="soak") as stream:
         if args.vm_kills is not None:
             payload = run_vm_soak(seed=args.seed, kills=args.vm_kills,
                                   max_runs=args.max_runs, stream=stream,
                                   flight_path=args.flight_out)
+            t = payload["totals"]
+            summary = (f"vm-soak: {t['runs']} runs, {t['vms_killed']} VMs "
+                       f"killed, {t['restarts']} restarts, {t['halts']} "
+                       f"halts, {t['invariant_violations']} invariant "
+                       f"violations")
         else:
             payload = run_soak(seed=args.seed, crashes=args.crashes,
                                max_runs=args.max_runs, stream=stream,
                                flight_path=args.flight_out)
-    finally:
-        if stream is not None:
-            stream.close()
-        if sink is not None:
-            sink.close()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    t = payload["totals"]
-    if args.vm_kills is not None:
-        print(f"vm-soak: {t['runs']} runs, {t['vms_killed']} VMs killed, "
-              f"{t['restarts']} restarts, {t['halts']} halts, "
-              f"{t['invariant_violations']} invariant violations",
-              file=sys.stderr)
-    else:
-        print(f"soak: {t['runs']} runs, {t['faults_fired']} manager faults, "
-              f"{t['restarts']} restarts, "
-              f"{t['invariant_violations']} invariant violations",
-              file=sys.stderr)
-    if args.stream_out and stream is not None:
-        print(f"wrote {stream.records} telemetry records "
-              f"to {args.stream_out}", file=sys.stderr)
-    from .faults.soak import incident_exit_code
-    if payload["incident"] is not None:
-        print(f"SOAK: {payload['incident']}", file=sys.stderr)
-    return incident_exit_code(payload)
+            t = payload["totals"]
+            summary = (f"soak: {t['runs']} runs, {t['faults_fired']} "
+                       f"manager faults, {t['restarts']} restarts, "
+                       f"{t['invariant_violations']} invariant violations")
+        _emit_json(payload, args.out)
+        print(summary, file=sys.stderr)
+    return _incident_exit("SOAK", payload["incident"])
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
-    from .faults.soak import incident_exit_code
+    from .faults.soak import classify_incident
     from .fleet.dispatcher import FleetConfig
-    from .fleet.harness import (make_kill_schedule, run_fleet,
-                                run_fleet_bench, run_fleet_soak,
+    from .fleet.harness import (make_kill_schedule, payload_violations,
+                                run_fleet, run_fleet_bench, run_fleet_soak,
                                 run_migration_demo, run_surge_soak)
 
     if args.migration_demo:
         demo = run_migration_demo(seed=args.seed, workers=args.workers)
-        print(json.dumps(demo, indent=2, sort_keys=True))
+        _emit_json(demo, None)
         if not demo["ok"]:
             print("MIGRATION DEMO: resumed output not bit-exact or "
                   "tenant did not finish", file=sys.stderr)
         return 0 if demo["ok"] else 1
 
     if args.bench:
-        from .eval.bench import default_artifact_path, write_bench
+        from .eval.bench import default_artifact_path
 
         payload = run_fleet_bench(seed=args.seed, workers=args.workers)
         out = args.out or default_artifact_path(payload["name"])
-        try:
-            write_bench(payload, out)
-        except OSError as exc:
-            print(f"error: cannot write benchmark artifact to {out}: {exc}",
-                  file=sys.stderr)
-            return 1
+        _emit_json(payload, out, announce=False)
         lat = payload["series"]["fleet_request_latency_cycles"]
         print(f"fleet bench: {lat['count']} requests served, "
               f"p50 {lat['p50']:.0f} / p99 {lat['p99']:.0f} cycles -> {out}")
         return 0
 
-    stream = sink = None
-    if args.stream_out:
-        from .obs.stream import TelemetryStream
-
-        try:
-            sink = open(args.stream_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write stream to {args.stream_out}: {exc}",
-                  file=sys.stderr)
-            return 2
-        # Record bus: one ``shard`` snapshot per board (or per soak run)
-        # plus the merged ``aggregate`` fleet view.
-        stream = TelemetryStream(None, interval_cycles=1, sink=sink,
-                                 source="fleet", seed=args.seed)
-    try:
+    soak = args.soak_surge or args.soak_board_kills is not None
+    with _record_bus(args, source="fleet") as stream:
         if args.soak_surge:
             # The surge soak is a fixed, calibrated scenario (escalating
             # surge factors against a tuned admission config), so it
@@ -424,12 +366,25 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             payload = run_surge_soak(seed=args.seed, workers=args.workers,
                                      stream=stream,
                                      flight_path=args.flight_out)
-        elif args.soak_board_kills is not None:
+            s = payload["slo"]
+            summary = (f"surge-soak: {len(payload['runs'])} loaded runs, "
+                       f"critical p99 {s['critical_p99']['worst']} vs "
+                       f"baseline {s['critical_p99']['baseline']} (slack "
+                       f"{s['critical_p99']['slack']}), goodput ratio "
+                       f"{s['critical_goodput_floor']['worst']} (floor "
+                       f"{s['critical_goodput_floor']['min_ratio']}), "
+                       f"{len(payload['violations'])} invariant violations")
+        elif soak:
             payload = run_fleet_soak(
                 seed=args.seed, board_kills=args.soak_board_kills,
                 boards=args.boards, workers=args.workers,
                 ticks=args.ticks, tenants_per_board=args.tenants_per_board,
                 stream=stream, flight_path=args.flight_out)
+            t = payload["totals"]
+            summary = (f"fleet-soak: {t['runs']} runs, {t['kills_fired']} "
+                       f"board kills, {t['migrations']} migrations, "
+                       f"{t['tenants_shed']} tenants shed, "
+                       f"{t['invariant_violations']} invariant violations")
         else:
             cfg = FleetConfig(boards=args.boards, seed=args.seed,
                               ticks=args.ticks, tick_ms=args.tick_ms,
@@ -440,69 +395,24 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                      if args.kills else ())
             payload = run_fleet(cfg, kills=kills, stream=stream,
                                 flight_path=args.flight_out)
-    finally:
-        if stream is not None:
-            stream.close()
-        if sink is not None:
-            sink.close()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    if args.soak_surge:
-        s = payload["slo"]
-        print(f"surge-soak: {len(payload['runs'])} loaded runs, "
-              f"critical p99 {s['critical_p99']['worst']} vs baseline "
-              f"{s['critical_p99']['baseline']} (slack "
-              f"{s['critical_p99']['slack']}), goodput ratio "
-              f"{s['critical_goodput_floor']['worst']} (floor "
-              f"{s['critical_goodput_floor']['min_ratio']}), "
-              f"{len(payload['violations'])} invariant violations",
-              file=sys.stderr)
-    elif args.soak_board_kills is not None:
-        t = payload["totals"]
-        print(f"fleet-soak: {t['runs']} runs, {t['kills_fired']} board "
-              f"kills, {t['migrations']} migrations, "
-              f"{t['tenants_shed']} tenants shed, "
-              f"{t['invariant_violations']} invariant violations",
-              file=sys.stderr)
-    else:
-        f = payload["fleet"]
-        r = payload["requests"]
-        print(f"fleet: {len(payload['kills_fired'])} kills fired, "
-              f"{f['boards_declared_dead']} boards declared dead, "
-              f"{f['migrations']} migrations, {r['served']} requests "
-              f"served, {len(payload['violations'])} violations",
-              file=sys.stderr)
-    if args.stream_out and stream is not None:
-        print(f"wrote {stream.records} telemetry records "
-              f"to {args.stream_out}", file=sys.stderr)
-    if args.soak_surge or args.soak_board_kills is not None:
-        if payload["incident"] is not None:
-            print(f"FLEET-SOAK: {payload['incident']}", file=sys.stderr)
-        return incident_exit_code(payload)
-    if not payload["ok"]:
-        reason = ("invariant_violation" if payload["violations"]
-                  or any(payload["board_violations"].values())
-                  else "checks_failed")
-        print(f"FLEET: {reason}", file=sys.stderr)
-        return incident_exit_code({"incident": reason})
-    return 0
+            f, r = payload["fleet"], payload["requests"]
+            summary = (f"fleet: {len(payload['kills_fired'])} kills fired, "
+                       f"{f['boards_declared_dead']} boards declared dead, "
+                       f"{f['migrations']} migrations, {r['served']} "
+                       f"requests served, {len(payload['violations'])} "
+                       f"violations")
+        _emit_json(payload, args.out)
+        print(summary, file=sys.stderr)
+    if soak:
+        return _incident_exit("FLEET-SOAK", payload["incident"])
+    return _incident_exit("FLEET", classify_incident(
+        payload_violations(payload), payload["ok"], True))
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    import json
     import os
 
     from .faults.explore import replay_repro, run_explore
-    from .faults.soak import incident_exit_code
 
     if args.repro:
         try:
@@ -518,7 +428,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             print(f"error: malformed repro {args.repro}: {exc}",
                   file=sys.stderr)
             return 2
-        print(json.dumps(result, indent=2, sort_keys=True))
+        _emit_json(result, None)
         if result["reproduced"]:
             print("REPRO: failure reproduced byte-identically",
                   file=sys.stderr)
@@ -528,21 +438,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
               f"{result['still_failing']})", file=sys.stderr)
         return 1
 
-    stream = sink = None
-    if args.stream_out:
-        from .obs.stream import TelemetryStream
-
-        try:
-            sink = open(args.stream_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write stream to {args.stream_out}: {exc}",
-                  file=sys.stderr)
-            return 2
-        # Record bus: one ``explore_schedule`` record per executed
-        # schedule, one ``explore_failure`` per shrunk failure.
-        stream = TelemetryStream(None, interval_cycles=1, sink=sink,
-                                 source="explore", seed=args.seed)
-    try:
+    # Record bus: one ``explore_schedule`` record per executed schedule,
+    # one ``explore_failure`` per shrunk failure.
+    with _record_bus(args, source="explore") as stream:
         try:
             payload = run_explore(
                 budget=args.budget, seed=args.seed,
@@ -551,55 +449,34 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 flight_path=args.flight_out)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        if stream is not None:
-            stream.close()
-        if sink is not None:
-            sink.close()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    if args.repro_out and payload["repros"]:
-        try:
-            os.makedirs(args.repro_out, exist_ok=True)
-            for repro in payload["repros"]:
-                path = os.path.join(
-                    args.repro_out, f"REPRO_{repro['from_schedule']}.json")
-                with open(path, "w", encoding="utf-8") as f:
-                    json.dump(repro, f, indent=2, sort_keys=True)
-                    f.write("\n")
-                print(f"wrote {path}", file=sys.stderr)
-        except OSError as exc:
-            print(f"error: cannot write repros to {args.repro_out}: {exc}",
-                  file=sys.stderr)
-            return 1
-    t = payload["totals"]
-    cov = payload["coverage"]
-    print(f"explore: {t['executed']} schedules ({t['singles']} singles, "
-          f"{t['pairs']} pairs), {t['failures']} failures, "
-          f"sites {cov['site_fraction']:.0%}, "
-          f"paths {cov['path_fraction']:.0%} "
-          f"(floor {cov['floor']:.0%})", file=sys.stderr)
-    if args.stream_out and stream is not None:
-        print(f"wrote {stream.records} telemetry records "
-              f"to {args.stream_out}", file=sys.stderr)
-    if payload["incident"] is not None:
-        print(f"EXPLORE: {payload['incident']}", file=sys.stderr)
-    return incident_exit_code(payload)
+            raise _Exit(2)
+        _emit_json(payload, args.out)
+        if args.repro_out and payload["repros"]:
+            try:
+                os.makedirs(args.repro_out, exist_ok=True)
+                for repro in payload["repros"]:
+                    path = os.path.join(
+                        args.repro_out,
+                        f"REPRO_{repro['from_schedule']}.json")
+                    with open(path, "w", encoding="utf-8") as f:
+                        json.dump(repro, f, indent=2, sort_keys=True)
+                        f.write("\n")
+                    print(f"wrote {path}", file=sys.stderr)
+            except OSError as exc:
+                print(f"error: cannot write repros to {args.repro_out}: "
+                      f"{exc}", file=sys.stderr)
+                raise _Exit(1)
+        t = payload["totals"]
+        cov = payload["coverage"]
+        print(f"explore: {t['executed']} schedules ({t['singles']} "
+              f"singles, {t['pairs']} pairs), {t['failures']} failures, "
+              f"sites {cov['site_fraction']:.0%}, "
+              f"paths {cov['path_fraction']:.0%} "
+              f"(floor {cov['floor']:.0%})", file=sys.stderr)
+    return _incident_exit("EXPLORE", payload["incident"])
 
 
 def cmd_postmortem(args: argparse.Namespace) -> int:
-    import json
-
     from .obs.flight import load_bundle, render_bundle, validate_bundle
 
     try:
@@ -615,7 +492,7 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
             print(f"  {p}", file=sys.stderr)
         return 2
     if args.json:
-        print(json.dumps(bundle, indent=2, sort_keys=True))
+        _emit_json(bundle, None)
     else:
         print(render_bundle(bundle))
     return 0
@@ -641,15 +518,50 @@ def cmd_inventory(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .obs.stream import DEFAULT_INTERVAL_MS
+
     ap = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p_run = sub.add_parser("run", help="run a scenario and print a report")
+    # Output options, declared once and shared through ``parents=``.
+    out_p = argparse.ArgumentParser(add_help=False)
+    out_p.add_argument("--out", metavar="FILE", default=None,
+                       help="write the JSON result to FILE instead of "
+                            "stdout (bench artifacts: default "
+                            "BENCH_<name>.json)")
+    stream_p = argparse.ArgumentParser(add_help=False)
+    stream_p.add_argument("--stream-out", metavar="FILE", default=None,
+                          help="write the JSONL telemetry stream: metric "
+                               "deltas (run, bench), per-run shards + the "
+                               "merged aggregate (soak, fleet) or schedule "
+                               "records (explore); docs/OBSERVABILITY.md "
+                               "§10")
+    flight_p = argparse.ArgumentParser(add_help=False)
+    flight_p.add_argument("--flight-out", metavar="FILE", default=None,
+                          help="post-mortem bundle path: run and faults "
+                               "always arm a flight recorder (default "
+                               "FLIGHT_<cmd>.json), soak, fleet and explore "
+                               "only with this flag (first faulted or "
+                               "failing run; docs/OBSERVABILITY.md §13)")
+    seed_p = argparse.ArgumentParser(add_help=False)
+    seed_p.add_argument("--seed", type=int, default=1)
+    # Live telemetry options of the single-scenario commands.
+    live_p = argparse.ArgumentParser(add_help=False, parents=[stream_p])
+    live_p.add_argument("--stream-interval-ms", type=float,
+                        default=DEFAULT_INTERVAL_MS, metavar="MS",
+                        help="emission cadence in simulated milliseconds "
+                             f"(default: {DEFAULT_INTERVAL_MS:g})")
+    live_p.add_argument("--slo", metavar="FILE", default=None,
+                        help="evaluate a declarative SLO config on the "
+                             "stream; any breach exits 3 "
+                             "(docs/OBSERVABILITY.md §12)")
+
+    p_run = sub.add_parser("run", parents=[seed_p, live_p, flight_p],
+                           help="run a scenario and print a report")
     p_run.add_argument("--guests", type=int, default=2)
     p_run.add_argument("--native", action="store_true")
     p_run.add_argument("--ms", type=float, default=200.0,
                        help="simulated milliseconds")
-    p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument("--verify", action="store_true",
                        help="check every hardware result against the golden model")
     p_run.add_argument("--trace-out", metavar="FILE", default=None,
@@ -661,23 +573,16 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--metrics", action="store_true",
                        help="print the kernel metrics registry "
                             "(counters, gauges, histograms)")
-    _add_stream_args(p_run)
-    p_run.add_argument("--slo", metavar="FILE", default=None,
-                       help="evaluate a declarative SLO config on the "
-                            "stream; any breach exits 3 "
-                            "(docs/OBSERVABILITY.md §12)")
-    p_run.add_argument("--flight-out", metavar="FILE", default=None,
-                       help="post-mortem bundle path "
-                            "(default: FLIGHT_run.json)")
     p_run.set_defaults(fn=cmd_run)
 
-    p_t3 = sub.add_parser("table3", help="regenerate Table III and Fig. 9")
+    p_t3 = sub.add_parser("table3", parents=[seed_p],
+                          help="regenerate Table III and Fig. 9")
     p_t3.add_argument("--completions", type=int, default=50)
-    p_t3.add_argument("--seed", type=int, default=1)
     p_t3.set_defaults(fn=cmd_table3)
 
     p_bench = sub.add_parser(
-        "bench", help="run the paper scenario, write BENCH_<name>.json")
+        "bench", parents=[seed_p, out_p, live_p],
+        help="run the paper scenario, write BENCH_<name>.json")
     p_bench.add_argument("--name", default="paper",
                          help="bench profile / artifact name (default: paper)")
     p_bench.add_argument("--quick", action="store_true",
@@ -686,20 +591,14 @@ def main(argv: list[str] | None = None) -> int:
                          help="override the profile's guest count")
     p_bench.add_argument("--ms", type=float, default=None,
                          help="override the profile's simulated milliseconds")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--out", metavar="FILE", default=None,
-                         help="artifact path (default: BENCH_<name>.json)")
-    _add_stream_args(p_bench)
-    p_bench.add_argument("--slo", metavar="FILE", default=None,
-                         help="evaluate a declarative SLO config on the "
-                              "stream; any breach exits 3")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_inv = sub.add_parser("inventory", help="task library + floorplan")
     p_inv.set_defaults(fn=cmd_inventory)
 
     p_faults = sub.add_parser(
-        "faults", help="run the deterministic fault-injection matrix")
+        "faults", parents=[seed_p, out_p, flight_p],
+        help="run the deterministic fault-injection matrix")
     p_faults.add_argument("--list", action="store_true",
                           help="list the scenario catalog and exit")
     p_faults.add_argument("--list-sites", action="store_true",
@@ -708,20 +607,13 @@ def main(argv: list[str] | None = None) -> int:
                                "and exit")
     p_faults.add_argument("--scenario", default="all", metavar="NAME",
                           help="scenario name, or 'all' (default)")
-    p_faults.add_argument("--seed", type=int, default=1)
-    p_faults.add_argument("--out", metavar="FILE", default=None,
-                          help="write the JSON result to FILE instead of "
-                               "stdout")
-    p_faults.add_argument("--flight-out", metavar="FILE", default=None,
-                          help="post-mortem bundle path, written when a "
-                               "scenario's checks fail "
-                               "(default: FLIGHT_faults.json)")
     p_faults.set_defaults(fn=cmd_faults)
 
+    harness_parents = [out_p, stream_p, flight_p]
     p_soak = sub.add_parser(
-        "soak", help="fault matrix under seeded manager crashes "
-                     "(docs/RECOVERY.md)")
-    p_soak.add_argument("--seed", type=int, default=1)
+        "soak", parents=[seed_p, *harness_parents],
+        help="fault matrix under seeded manager crashes "
+             "(docs/RECOVERY.md)")
     p_soak.add_argument("--crashes", type=int, default=100,
                         help="run until this many manager faults fired "
                              "(default: 100)")
@@ -731,19 +623,12 @@ def main(argv: list[str] | None = None) -> int:
                              "(docs/RECOVERY.md §9)")
     p_soak.add_argument("--max-runs", type=int, default=None,
                         help="hard cap on scenario runs (default: 4x faults)")
-    p_soak.add_argument("--out", metavar="FILE", default=None,
-                        help="write the JSON result to FILE instead of stdout")
-    p_soak.add_argument("--stream-out", metavar="FILE", default=None,
-                        help="write per-run shard snapshots + the merged "
-                             "aggregate view as JSONL telemetry")
-    p_soak.add_argument("--flight-out", metavar="FILE", default=None,
-                        help="arm a flight recorder: dump a post-mortem "
-                             "bundle for the first faulted (or failing) run")
     p_soak.set_defaults(fn=cmd_soak)
 
     p_fleet = sub.add_parser(
-        "fleet", help="supervised multi-board fleet with live migration "
-                      "(docs/FLEET.md)")
+        "fleet", parents=[seed_p, *harness_parents],
+        help="supervised multi-board fleet with live migration "
+             "(docs/FLEET.md)")
     p_fleet.add_argument("--boards", type=int, default=4,
                          help="number of boards (default: 4)")
     p_fleet.add_argument("--tenants-per-board", type=int, default=2,
@@ -753,7 +638,6 @@ def main(argv: list[str] | None = None) -> int:
     p_fleet.add_argument("--tick-ms", type=float, default=2.0,
                          help="simulated milliseconds per tick "
                               "(default: 2.0)")
-    p_fleet.add_argument("--seed", type=int, default=1)
     p_fleet.add_argument("--rate", type=float, default=0.1,
                          help="mean request arrivals per tenant per tick "
                               "(default: 0.1)")
@@ -784,22 +668,12 @@ def main(argv: list[str] | None = None) -> int:
                          help="write the fleet quick-bench artifact "
                               "(BENCH_fleet_quick.json) instead of a "
                               "report")
-    p_fleet.add_argument("--out", metavar="FILE", default=None,
-                         help="write the JSON result (or bench artifact) "
-                              "to FILE instead of stdout")
-    p_fleet.add_argument("--stream-out", metavar="FILE", default=None,
-                         help="write per-board/per-run shard snapshots + "
-                              "the merged aggregate view as JSONL "
-                              "telemetry")
-    p_fleet.add_argument("--flight-out", metavar="FILE", default=None,
-                         help="arm a flight recorder: dump a post-mortem "
-                              "bundle from the implicated board on the "
-                              "first fleet invariant violation")
     p_fleet.set_defaults(fn=cmd_fleet)
 
     p_explore = sub.add_parser(
-        "explore", help="coverage-guided fault-space exploration with "
-                        "delta-debugged minimal repros (docs/FAULTS.md §5)")
+        "explore", parents=harness_parents,
+        help="coverage-guided fault-space exploration with "
+             "delta-debugged minimal repros (docs/FAULTS.md §5)")
     p_explore.add_argument("--budget", type=int, default=150,
                            help="schedule budget: max fault schedules to "
                                 "execute (default: 150)")
@@ -811,26 +685,16 @@ def main(argv: list[str] | None = None) -> int:
                                 "sites must always fire)")
     p_explore.add_argument("--mutate", default=None, metavar="NAME",
                            help="disable one recovery path before every "
-                                "inline run (self-test mode; also via "
-                                "REPRO_EXPLORE_MUTATE)")
+                                "inline run (self-test mode)")
     p_explore.add_argument("--no-fleet", action="store_true",
                            help="skip the board.* fleet schedules")
     p_explore.add_argument("--repro", metavar="FILE", default=None,
                            help="replay a shrunk repro JSON twice and "
                                 "verify the byte-identical failure "
                                 "instead of exploring")
-    p_explore.add_argument("--out", metavar="FILE", default=None,
-                           help="write the JSON payload to FILE instead "
-                                "of stdout")
     p_explore.add_argument("--repro-out", metavar="DIR", default=None,
                            help="write each shrunk repro as "
                                 "DIR/REPRO_<schedule>.json")
-    p_explore.add_argument("--stream-out", metavar="FILE", default=None,
-                           help="write explore_schedule/explore_failure "
-                                "records as JSONL telemetry")
-    p_explore.add_argument("--flight-out", metavar="FILE", default=None,
-                           help="dump a post-mortem bundle for the first "
-                                "failing schedule")
     p_explore.set_defaults(fn=cmd_explore)
 
     p_pm = sub.add_parser(
@@ -843,19 +707,10 @@ def main(argv: list[str] | None = None) -> int:
     p_pm.set_defaults(fn=cmd_postmortem)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
-
-
-def _add_stream_args(p: argparse.ArgumentParser) -> None:
-    from .obs.stream import DEFAULT_INTERVAL_MS
-
-    p.add_argument("--stream-out", metavar="FILE", default=None,
-                   help="write the JSONL telemetry stream (deterministic "
-                        "metric deltas; docs/OBSERVABILITY.md §10)")
-    p.add_argument("--stream-interval-ms", type=float,
-                   default=DEFAULT_INTERVAL_MS, metavar="MS",
-                   help="emission cadence in simulated milliseconds "
-                        f"(default: {DEFAULT_INTERVAL_MS:g})")
+    try:
+        return args.fn(args)
+    except _Exit as exc:
+        return exc.code
 
 
 if __name__ == "__main__":

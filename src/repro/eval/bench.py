@@ -28,6 +28,7 @@ from ..obs.analytics import (
     dpr_stage_summaries,
     plirq_latency_samples,
 )
+from ..obs.stream import live_stream
 from .measures import extract_overheads
 from .scenarios import VirtScenario, build_virtualized
 
@@ -104,36 +105,16 @@ def run_bench(name: str = "paper", *, guests: int | None = None,
     guests = profile["guests"] if guests is None else guests
     ms = profile["ms"] if ms is None else ms
     sc = build_virtualized(guests, seed=seed)
-    stream = engine = sink = None
-    if stream_out is not None or slo_rules is not None:
-        from ..common.units import ms_to_cycles
-        from ..obs.slo import SloEngine
-        from ..obs.stream import DEFAULT_INTERVAL_MS, TelemetryStream
-
-        interval_ms = (DEFAULT_INTERVAL_MS if stream_interval_ms is None
-                       else stream_interval_ms)
-        hz = sc.machine.params.cpu.hz
-        sink = (open(stream_out, "w", encoding="utf-8")
-                if stream_out is not None else None)
-        stream = TelemetryStream(
-            sc.metrics, interval_cycles=ms_to_cycles(interval_ms, hz),
-            sink=sink, source=f"bench:{name}", seed=seed,
-            meta={"guests": guests, "ms": ms})
-        if slo_rules is not None:
-            engine = SloEngine(slo_rules, metrics=sc.metrics)
-            engine.attach(stream)
-        stream.attach(sc.kernel.sim)
-    t0 = time.perf_counter()
-    try:
+    sink = (open(stream_out, "w", encoding="utf-8")
+            if stream_out is not None else None)
+    # Stream teardown is host-side bookkeeping, outside the timed run
+    # phase (wall measures the engine, not the telemetry flush).
+    with live_stream(sc, sink=sink, interval_ms=stream_interval_ms,
+                     slo_rules=slo_rules, source=f"bench:{name}", seed=seed,
+                     meta={"guests": guests, "ms": ms}) as (_, engine):
+        t0 = time.perf_counter()
         sc.run_ms(ms)
         wall = time.perf_counter() - t0
-    finally:
-        # Stream teardown is host-side bookkeeping, outside the timed
-        # run phase (wall measures the engine, not the telemetry flush).
-        if stream is not None:
-            stream.close()
-        if sink is not None:
-            sink.close()
     k = sc.kernel
     acct: VmAccounting = k.acct
     series = {n: s.as_dict() for n, s in sorted(collect_series(sc).items())}

@@ -23,10 +23,11 @@ random soaking (docs/FAULTS.md §5):
 5. **Failures** are handed to :mod:`repro.faults.shrink` for a minimal,
    twice-revalidated, byte-identical reproducer.
 
-``REPRO_EXPLORE_MUTATE=<name>`` (or ``--mutate``) disables one hardened
-recovery path before every inline run — the self-test proving the
-explorer actually *finds* regressions and shrinks them (tests/faults/
-test_shrink.py runs it with ``watchdog_reclaim``).
+``run_explore(mutate=<name>)`` (``--mutate`` on the CLI) disables one
+hardened recovery path before every inline run — the self-test proving
+the explorer actually *finds* regressions and shrinks them
+(tests/faults/test_shrink.py runs it with ``watchdog_reclaim``).  A
+shrunk repro records its ``mutate`` so ``--repro`` replays it as found.
 
 Everything here is a pure function of ``(budget, seed, mutate)``:
 same inputs ⇒ byte-identical payload (the CI gate runs it twice).
@@ -34,14 +35,12 @@ same inputs ⇒ byte-identical payload (the CI gate runs it twice).
 
 from __future__ import annotations
 
-import os as _os
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..eval.scenarios import build_virtualized
 from ..guest.ports.paravirt import ParavirtUcos
 from ..guest.ucos import Ucos
-from ..hwmgr.invariants import check_invariants, check_lifecycle_invariants
 from ..obs.metrics import MetricsRegistry
 from .coverage import CoverageTracker, paths_fired
 from .matrix import _PRIO_AUX, _make_fallback_task
@@ -69,7 +68,7 @@ from .plan import (
 from .registry import CRASHPOINTS
 from .rogue import RogueStats, WildRunner, make_bad_hypercall_task, \
     make_wild_dma_task
-from .soak import classify_incident
+from .soak import classify_incident, sweep
 
 EXPLORE_SCHEMA_VERSION = 1
 
@@ -88,7 +87,7 @@ def _mutate_watchdog_reclaim(sc) -> None:
     sc.machine.prr_controller._arm_watchdog = lambda *a, **k: None
 
 
-#: Named recovery-path regressions ``REPRO_EXPLORE_MUTATE`` can plant.
+#: Named recovery-path regressions ``mutate`` can plant.
 MUTATIONS: dict[str, Callable[[Any], None]] = {
     "watchdog_reclaim": _mutate_watchdog_reclaim,
 }
@@ -187,23 +186,10 @@ def run_inline_schedule(faults, *, seed: int, mutate: str | None = None,
     else:
         sc.run_until_completions(6, max_ms=500.0)
 
-    violations = check_invariants(kernel) + check_lifecycle_invariants(kernel)
-    kills = plan.fires(VM_KILL)
-    conserved = all(
-        0 <= g.thw_stats.requests - (g.thw_stats.completions
-                                     + g.thw_stats.busy
-                                     + g.thw_stats.errors) <= 1 + kills
-        for g in sc.guests)
-    journal = kernel.manager_journal
-    checks = {
-        "invariants_hold": not violations,
-        "journal_balanced": journal is None or journal.balanced(),
-        "requests_conserved": conserved,
-        "no_violation_metric":
-            kernel.metrics.total("supervisor.invariant_violations") == 0,
-        "results_verified": all(g.thw_stats.verified_bad == 0
-                                for g in sc.guests),
-    }
+    checks, violations = sweep(sc, lifecycle=True,
+                               slack=1 + plan.fires(VM_KILL))
+    checks["results_verified"] = all(g.thw_stats.verified_bad == 0
+                                     for g in sc.guests)
     if SERVICE_CRASH in sites:
         checks["restarted_per_crash"] = (
             kernel.supervisor.restarts >= plan.fires(SERVICE_CRASH))
@@ -239,7 +225,7 @@ def run_fleet_exec(faults, *, seed: int,
     """Execute one board-fault schedule via the fleet harness's
     programmatic entry; same result shape as the inline executor."""
     from ..fleet.dispatcher import KillSpec
-    from ..fleet.harness import run_fleet_schedule
+    from ..fleet.harness import payload_violations, run_fleet_schedule
     kills = tuple(KillSpec(**dict(f)) for f in faults)
     payload = run_fleet_schedule(kills, seed=seed, flight_path=flight_path)
     fleet = payload["fleet"]
@@ -252,10 +238,7 @@ def run_fleet_exec(faults, *, seed: int,
         "fleet.rpc.retries_denied": fleet["rpc_retries_denied"],
         "fleet.breaker.opens": fleet["breaker_opens"],
     }
-    violations = (list(payload["violations"])
-                  + [f"board {b}: {v}"
-                     for b, vs in sorted(payload["board_violations"].items())
-                     for v in vs])
+    violations = payload_violations(payload)
     checks = {
         "invariants_hold": not violations,
         "tenants_accounted": payload["tenants_accounted"],
@@ -458,8 +441,6 @@ def run_explore(*, budget: int = 150, seed: int = 7, floor: float = 0.9,
     coverage report → shrink failures.  Returns the JSON-stable explore
     payload (``python -m repro explore``)."""
     from .shrink import result_fingerprint, shrink_schedule
-    if mutate is None:
-        mutate = _os.environ.get("REPRO_EXPLORE_MUTATE") or None
     if mutate is not None and mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r} "
                          f"(known: {', '.join(sorted(MUTATIONS))})")

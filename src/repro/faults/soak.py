@@ -1,9 +1,15 @@
-"""Crash-recovery soak harness: the fault matrix under manager murder.
+"""Crash-recovery soak harnesses and the one soak loop they share.
 
-Replays the seven canned fault scenarios round-robin while injecting
-``service.crash`` / ``service.hang`` faults into the Hardware Task
-Manager at randomized-but-seeded points, and asserts the recovery
-invariants after every run:
+:func:`drive_soak` is the loop: it calls a per-run step function until
+a fire target is met, streams one telemetry shard per run, sums the
+totals and classifies the incident.  Three step functions ride on it:
+:func:`run_soak` (manager crashes), :func:`run_vm_soak` (VM kills) and
+:func:`repro.fleet.harness.run_fleet_soak` (board kills).
+
+:func:`run_soak` replays the seven canned fault scenarios round-robin
+while injecting ``service.crash`` / ``service.hang`` faults into the
+Hardware Task Manager at randomized-but-seeded points, and asserts the
+recovery invariants after every run:
 
 * the invariant checker (:func:`repro.hwmgr.invariants.check_invariants`)
   reports **zero** violations against hardware ground truth;
@@ -23,7 +29,7 @@ byte-identical JSON payload — CI runs the soak twice and diffs it.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from ..common.rng import make_rng
 from ..hwmgr.invariants import check_invariants, check_lifecycle_invariants
@@ -86,63 +92,153 @@ def incident_exit_code(payload: dict[str, Any]) -> int:
     return 0
 
 
-def _run_checks(sc, plan) -> tuple[dict[str, bool], list[str]]:
+def sweep(sc, *, lifecycle: bool = False,
+          slack: int = 1) -> tuple[dict[str, bool], list[str]]:
+    """The post-run oracle of every inline harness (the soaks and the
+    explorer): the I1-I8 sweep (plus L1-L6 with ``lifecycle``), journal
+    balance, the supervisor's violation metric, and request conservation
+    per guest — every issued request completed, busy or errored, with at
+    most ``slack`` unaccounted (one in flight at the horizon cut, plus
+    one per VM kill).  Returns ``(checks, violations)``."""
     kernel = sc.kernel
-    sup = kernel.supervisor
     journal = kernel.manager_journal
     violations = check_invariants(kernel)
-    conserved = all(
-        0 <= g.thw_stats.requests - (g.thw_stats.completions
-                                     + g.thw_stats.busy
-                                     + g.thw_stats.errors) <= 1
-        for g in sc.guests)
-    checks = {
+    if lifecycle:
+        violations += check_lifecycle_invariants(kernel)
+    return {
         "invariants_hold": not violations,
         "journal_balanced": journal is None or journal.balanced(),
-        "requests_conserved": conserved,
-        "crashes_all_handled": sup.crashes == plan.fires(SERVICE_CRASH),
+        "requests_conserved": all(
+            0 <= g.thw_stats.requests - (g.thw_stats.completions
+                                         + g.thw_stats.busy
+                                         + g.thw_stats.errors) <= slack
+            for g in sc.guests),
+        "no_violation_metric":
+            kernel.metrics.total("supervisor.invariant_violations") == 0,
+    }, violations
+
+
+# -- the soak loop ------------------------------------------------------------
+
+
+class SoakRun(NamedTuple):
+    """One soak iteration, as its step function reports it: the
+    payload's ``runs[i]`` record (it must carry ``"ok"``;
+    :func:`drive_soak` adds ``"run": i``), its violation strings as the
+    payload shows them, and its registry image for the ``shard`` record."""
+
+    record: dict[str, Any]
+    violations: list[str]
+    snapshot: MetricSnapshot
+
+
+def drive_soak(step: Callable[[int], SoakRun], *, seed: int, target: int,
+               max_runs: int, totals: dict[str, str], harness: str,
+               stream=None, shard_keys: tuple[str, ...] = ()
+               ) -> dict[str, Any]:
+    """The one soak loop: call ``step(i)`` until the fire target is met.
+
+    ``totals`` maps each payload total to the record field it sums; the
+    first counts toward ``target``, and the loop stops there or after
+    ``max_runs`` runs.  Every run's snapshot goes to ``stream`` (a
+    record bus) as a ``shard`` carrying the record's ``shard_keys``, and
+    the merged view as one ``aggregate`` at the end.  Returns the
+    payload the soaks share, with the :func:`classify_incident` verdict.
+    """
+    fired_key = next(iter(totals.values()))
+    merged = MetricSnapshot.empty()
+    runs: list[dict[str, Any]] = []
+    violations: list[str] = []
+    fired = i = 0
+    while fired < target and i < max_runs:
+        record, run_violations, snapshot = step(i)
+        runs.append({"run": i, **record})
+        fired += record[fired_key]
+        violations.extend(run_violations)
+        if stream is not None:
+            merged = merged.merge(snapshot)
+            stream.emit_shard(f"run-{i}", snapshot, harness=harness,
+                              seed=seed + i, ok=record["ok"],
+                              **{k: record[k] for k in shard_keys})
+        i += 1
+    if stream is not None:
+        stream.emit_aggregate(merged, shards=len(runs), harness=harness,
+                              seed=seed)
+    runs_ok = bool(runs) and all(r["ok"] for r in runs)
+    incident = classify_incident(violations, runs_ok, fired >= target)
+    return {
+        "seed": seed,
+        "runs": runs,
+        "totals": {"runs": len(runs),
+                   **{name: sum(r[key] for r in runs)
+                      for name, key in totals.items()},
+                   "invariant_violations": len(violations)},
+        "violations": violations,
+        "reached_target": fired >= target,
+        "incident": incident,
+        "ok": incident is None,
+    }
+
+
+# -- the inline soaks ---------------------------------------------------------
+
+def _inline_run(i: int, seed: int, spec: FaultSpec, *, harness: str,
+                flight: FlightRecorder | None, vm_kills: bool = False,
+                **context: Any) -> tuple[Any, int, SoakRun]:
+    """Run the ``i``-th scenario of the round-robin under ``spec`` and
+    check it.  Returns ``(sc, fired, run)``; the caller adds its own
+    fields to ``run.record``.
+
+    The manager soak checks that every fired crash was handled and
+    restarted; the VM soak (``vm_kills``) adds the lifecycle sweep, the
+    kill count and the cycle ledger instead.  The flight recorder dumps
+    once, on the first qualifying run: an invariant violation or failed
+    check if one occurs, otherwise the first run where a fault actually
+    fired (the seeded-crash replay CI validates).  The soak payload
+    itself is untouched, so the byte-identity gate keeps holding.
+    """
+    names = list(SCENARIOS)
+    name = names[i % len(names)]
+    capture: dict[str, Any] = {}
+    SCENARIOS[name](seed + i, extra_specs=(spec,), _capture=capture)
+    sc = capture["sc"]
+    kernel = sc.kernel
+    plan = sc.injector.plan
+    if vm_kills:
+        fired = plan.fires(VM_KILL)
+        checks, violations = sweep(sc, lifecycle=True, slack=1 + fired)
+        acct = kernel.acct
+        acct.settle()
+        checks["kills_counted"] = (
+            kernel.metrics.total("kernel.vm_kills") >= fired)
+        checks["ledger_balanced"] = (
+            not acct.bound
+            or acct.total_accounted() == kernel.sim.now - acct.start_cycle)
+    else:
+        fired = plan.fires(SERVICE_CRASH) + plan.fires(SERVICE_HANG)
+        checks, violations = sweep(sc)
+        crashes = plan.fires(SERVICE_CRASH)
+        checks["crashes_all_handled"] = kernel.supervisor.crashes == crashes
         # Every crash restarts synchronously.  A hang only forces a
         # restart when the stall outlives the deadline — a fresh request
         # can resume the wedged service first, in which case it recovers
         # on its own and the conservation/invariant checks above are the
         # ones that matter.
-        "restarted_per_crash": sup.restarts >= plan.fires(SERVICE_CRASH),
-        "no_violation_metric":
-            kernel.metrics.total("supervisor.invariant_violations") == 0,
-    }
-    return checks, violations
-
-
-def _soak_telemetry(stream, flight, *, harness: str, run: int,
-                    name: str, seed: int, sc, plan, checks, violations,
-                    fired: int, merged: MetricSnapshot,
-                    **context: Any) -> MetricSnapshot:
-    """Per-run telemetry tail shared by both soaks.
-
-    Emits the run's registry image as a ``shard`` record (returning the
-    running fleet merge), and — first qualifying run only — dumps the
-    flight-recorder bundle: on an invariant violation or failed check if
-    one occurs, otherwise for the first run where a fault actually fired
-    (the seeded-crash replay CI validates).  The soak payload itself is
-    untouched, so the byte-identity gate keeps holding.
-    """
-    run_ok = all(checks.values())
-    if stream is not None:
-        snap = MetricSnapshot.of(sc.kernel.metrics)
-        merged = merged.merge(snap)
-        stream.emit_shard(f"run-{run}", snap, harness=harness,
-                          scenario=name, seed=seed, ok=run_ok)
+        checks["restarted_per_crash"] = kernel.supervisor.restarts >= crashes
+    ok = all(checks.values())
+    checks = {k: bool(v) for k, v in sorted(checks.items())}
+    run = SoakRun({"scenario": name, "checks": checks, "ok": ok},
+                  violations, MetricSnapshot.of(kernel.metrics))
     if flight is not None and flight.bundle is None \
-            and (violations or not run_ok or fired):
-        flight.arm(sc.kernel, seed=seed, plan=plan,
-                   context={"harness": harness, "run": run,
+            and (violations or not ok or fired):
+        flight.arm(kernel, seed=seed + i, plan=plan,
+                   context={"harness": harness, "run": i,
                             "scenario": name, **context})
         reason = ("invariant_violation" if violations
-                  else "soak_checks_failed" if not run_ok
+                  else "soak_checks_failed" if not ok
                   else "soak_replay")
-        flight.dump(reason, fired=fired,
-                    checks={k: bool(v) for k, v in sorted(checks.items())})
-    return merged
+        flight.dump(reason, fired=fired, checks=checks)
+    return sc, fired, run
 
 
 def run_soak(*, seed: int = 1, crashes: int = 100,
@@ -158,23 +254,14 @@ def run_soak(*, seed: int = 1, crashes: int = 100,
     ``stream`` (a :class:`~repro.obs.stream.TelemetryStream` record bus)
     receives one ``shard`` record per run plus the merged ``aggregate``
     view; ``flight_path`` arms a flight recorder (see
-    :func:`_soak_telemetry`).  Both leave the payload byte-identical.
+    :func:`_inline_run`).  Both leave the payload byte-identical.
     """
     rng = make_rng(seed, stream="soak")
     flight = FlightRecorder(flight_path) if flight_path else None
-    merged = MetricSnapshot.empty()
-    names = list(SCENARIOS)
-    if max_runs is None:
-        max_runs = max(4 * crashes, len(names))
-    runs: list[dict[str, Any]] = []
-    fired_total = 0
-    restarts_total = 0
-    all_violations: list[str] = []
-    i = 0
-    while fired_total < crashes and i < max_runs:
+
+    def step(i: int) -> SoakRun:
         # Fixed draw count per iteration keeps the stream aligned no
         # matter what each run does with the faults.
-        name = names[i % len(names)]
         mode = "hang" if int(rng.integers(0, 4)) == 0 else "crash"
         after = int(rng.integers(0, _MAX_AFTER))
         fires = 1 + int(rng.integers(0, 2))
@@ -182,94 +269,31 @@ def run_soak(*, seed: int = 1, crashes: int = 100,
             spec = FaultSpec(SERVICE_CRASH, after=after, max_fires=fires)
         else:
             spec = FaultSpec(SERVICE_HANG, after=after, max_fires=1)
-        capture: dict[str, Any] = {}
-        result = SCENARIOS[name](seed + i, extra_specs=(spec,),
-                                 _capture=capture)
-        sc = capture["sc"]
-        plan = sc.injector.plan
-        checks, violations = _run_checks(sc, plan)
-        fired = plan.fires(SERVICE_CRASH) + plan.fires(SERVICE_HANG)
-        fired_total += fired
-        restarts_total += sc.kernel.supervisor.restarts
-        all_violations.extend(violations)
-        runs.append({
-            "run": i,
-            "scenario": name,
-            "mode": mode,
-            "after": after,
-            "fired": fired,
-            "restarts": sc.kernel.supervisor.restarts,
-            "bounced": sc.kernel.metrics.total("recovery.bounced_requests"),
-            "rollbacks": sc.kernel.metrics.total(
-                "recovery.journal_rollbacks"),
-            "replays": sc.kernel.metrics.total("recovery.journal_replays"),
-            "reconciles": sc.kernel.metrics.total(
-                "recovery.reconcile_reclaims"),
-            "checks": {k: bool(v) for k, v in sorted(checks.items())},
-            "ok": all(checks.values()),
-        })
-        merged = _soak_telemetry(
-            stream, flight, harness="soak", run=i, name=name,
-            seed=seed + i, sc=sc, plan=plan, checks=checks,
-            violations=violations, fired=fired, merged=merged, mode=mode)
-        i += 1
-    if stream is not None:
-        stream.emit_aggregate(merged, shards=len(runs), harness="soak",
-                              seed=seed)
-    runs_ok = bool(runs) and all(r["ok"] for r in runs)
-    reached = fired_total >= crashes
-    incident = classify_incident(all_violations, runs_ok, reached)
-    return {
-        "seed": seed,
-        "crash_target": crashes,
-        "runs": runs,
-        "totals": {
-            "runs": len(runs),
-            "faults_fired": fired_total,
-            "restarts": restarts_total,
-            "invariant_violations": len(all_violations),
-        },
-        "violations": all_violations,
-        "reached_target": reached,
-        "incident": incident,
-        "ok": incident is None,
-    }
+        sc, fired, run = _inline_run(i, seed, spec, harness="soak",
+                                     flight=flight, mode=mode)
+        total = sc.kernel.metrics.total
+        run.record.update(mode=mode, after=after, fired=fired,
+                          restarts=sc.kernel.supervisor.restarts,
+                          bounced=total("recovery.bounced_requests"),
+                          rollbacks=total("recovery.journal_rollbacks"),
+                          replays=total("recovery.journal_replays"),
+                          reconciles=total("recovery.reconcile_reclaims"))
+        return run
+
+    if max_runs is None:
+        max_runs = max(4 * crashes, len(SCENARIOS))
+    return {"crash_target": crashes,
+            **drive_soak(step, seed=seed, target=crashes, max_runs=max_runs,
+                         totals={"faults_fired": "fired",
+                                 "restarts": "restarts"},
+                         harness="soak", stream=stream,
+                         shard_keys=("scenario",))}
 
 
 # -- VM crash/restore soak (docs/RECOVERY.md §9) ------------------------------
 
 #: Restart policies the VM soak cycles through, indexed by a seeded draw.
 _VM_POLICIES = ("restart", "restart_from_checkpoint", "halt")
-
-
-def _run_vm_checks(sc, plan) -> tuple[dict[str, bool], list[str]]:
-    kernel = sc.kernel
-    journal = kernel.manager_journal
-    fired = plan.fires(VM_KILL)
-    violations = check_invariants(kernel)
-    violations += check_lifecycle_invariants(kernel)
-    # A kill can strand one issued-but-unaccounted request per death on
-    # top of the usual one-in-flight horizon cut.
-    conserved = all(
-        0 <= g.thw_stats.requests - (g.thw_stats.completions
-                                     + g.thw_stats.busy
-                                     + g.thw_stats.errors) <= 1 + fired
-        for g in sc.guests)
-    acct = kernel.acct
-    acct.settle()
-    ledger_ok = (not acct.bound
-                 or acct.total_accounted() == kernel.sim.now
-                 - acct.start_cycle)
-    checks = {
-        "invariants_hold": not violations,
-        "journal_balanced": journal is None or journal.balanced(),
-        "requests_conserved": conserved,
-        "kills_counted": kernel.metrics.total("kernel.vm_kills") >= fired,
-        "ledger_balanced": ledger_ok,
-        "no_violation_metric":
-            kernel.metrics.total("supervisor.invariant_violations") == 0,
-    }
-    return checks, violations
 
 
 def run_vm_soak(*, seed: int = 1, kills: int = 100,
@@ -287,19 +311,9 @@ def run_vm_soak(*, seed: int = 1, kills: int = 100,
     """
     rng = make_rng(seed, stream="vm-soak")
     flight = FlightRecorder(flight_path) if flight_path else None
-    merged = MetricSnapshot.empty()
-    names = list(SCENARIOS)
-    if max_runs is None:
-        max_runs = max(4 * kills, len(names))
-    runs: list[dict[str, Any]] = []
-    killed_total = 0
-    restarts_total = 0
-    halts_total = 0
-    all_violations: list[str] = []
-    i = 0
-    while killed_total < kills and i < max_runs:
+
+    def step(i: int) -> SoakRun:
         # Fixed draw count per iteration keeps the stream aligned.
-        name = names[i % len(names)]
         policy = _VM_POLICIES[int(rng.integers(0, len(_VM_POLICIES)))]
         at = 50_000 + int(rng.integers(0, 8)) * 25_000
         count = 1 + int(rng.integers(0, 2))
@@ -307,61 +321,26 @@ def run_vm_soak(*, seed: int = 1, kills: int = 100,
         spec = FaultSpec(VM_KILL, max_fires=count, params={
             "at": at, "count": count, "spacing": 150_000,
             "vm_index": vm_index, "policy": policy, "budget": 2})
-        capture: dict[str, Any] = {}
-        SCENARIOS[name](seed + i, extra_specs=(spec,), _capture=capture)
-        sc = capture["sc"]
-        plan = sc.injector.plan
-        checks, violations = _run_vm_checks(sc, plan)
+        sc, fired, run = _inline_run(i, seed, spec, harness="vm-soak",
+                                     flight=flight, vm_kills=True,
+                                     policy=policy)
         lc = sc.kernel.lifecycle
-        killed_total += plan.fires(VM_KILL)
-        restarts_total += lc.restart_count
-        halts_total += lc.halt_count
-        all_violations.extend(violations)
-        runs.append({
-            "run": i,
-            "scenario": name,
-            "policy": policy,
-            "at": at,
-            "kills": plan.fires(VM_KILL),
-            "restarts": lc.restart_count,
-            "halts": lc.halt_count,
-            "checkpoints": sc.kernel.metrics.total(
-                "vm.lifecycle.checkpoints"),
-            "restores": sc.kernel.metrics.total("vm.lifecycle.restores"),
-            "virqs_dropped": sc.kernel.metrics.total(
-                "vm.lifecycle.virqs_dropped"),
-            "virqs_dead_epoch": sc.kernel.metrics.total(
-                "vm.lifecycle.virqs_dead_epoch"),
-            "client_reclaims": sc.kernel.metrics.total(
-                "vm.lifecycle.client_reclaims"),
-            "checks": {k: bool(v) for k, v in sorted(checks.items())},
-            "ok": all(checks.values()),
-        })
-        merged = _soak_telemetry(
-            stream, flight, harness="vm-soak", run=i, name=name,
-            seed=seed + i, sc=sc, plan=plan, checks=checks,
-            violations=violations, fired=plan.fires(VM_KILL),
-            merged=merged, policy=policy)
-        i += 1
-    if stream is not None:
-        stream.emit_aggregate(merged, shards=len(runs), harness="vm-soak",
-                              seed=seed)
-    runs_ok = bool(runs) and all(r["ok"] for r in runs)
-    reached = killed_total >= kills
-    incident = classify_incident(all_violations, runs_ok, reached)
-    return {
-        "seed": seed,
-        "kill_target": kills,
-        "runs": runs,
-        "totals": {
-            "runs": len(runs),
-            "vms_killed": killed_total,
-            "restarts": restarts_total,
-            "halts": halts_total,
-            "invariant_violations": len(all_violations),
-        },
-        "violations": all_violations,
-        "reached_target": reached,
-        "incident": incident,
-        "ok": incident is None,
-    }
+        total = sc.kernel.metrics.total
+        run.record.update(
+            policy=policy, at=at, kills=fired, restarts=lc.restart_count,
+            halts=lc.halt_count,
+            checkpoints=total("vm.lifecycle.checkpoints"),
+            restores=total("vm.lifecycle.restores"),
+            virqs_dropped=total("vm.lifecycle.virqs_dropped"),
+            virqs_dead_epoch=total("vm.lifecycle.virqs_dead_epoch"),
+            client_reclaims=total("vm.lifecycle.client_reclaims"))
+        return run
+
+    if max_runs is None:
+        max_runs = max(4 * kills, len(SCENARIOS))
+    return {"kill_target": kills,
+            **drive_soak(step, seed=seed, target=kills, max_runs=max_runs,
+                         totals={"vms_killed": "kills",
+                                 "restarts": "restarts", "halts": "halts"},
+                         harness="vm-soak", stream=stream,
+                         shard_keys=("scenario",))}

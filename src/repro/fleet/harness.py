@@ -27,7 +27,7 @@ from ..common.rng import make_rng
 from ..eval.bench import SCHEMA_VERSION
 from ..faults.plan import (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION,
                            RETRY_STORM, TRAFFIC_SURGE)
-from ..faults.soak import classify_incident
+from ..faults.soak import SoakRun, classify_incident, drive_soak
 from ..obs.aggregate import MetricSnapshot
 from ..obs.analytics import SeriesSummary
 from ..obs.flight import write_bundle
@@ -186,6 +186,15 @@ def _payload(disp: Dispatcher, cfg: FleetConfig,
     }
 
 
+def payload_violations(payload: dict[str, Any]) -> list[str]:
+    """A run payload's fleet violations, then every board's sweep
+    violations as ``"board <id>: <violation>"``."""
+    return (list(payload["violations"])
+            + [f"board {b}: {v}"
+               for b, vs in sorted(payload["board_violations"].items())
+               for v in vs])
+
+
 def _overload_block(disp: Dispatcher) -> dict[str, Any]:
     """The payload's overload-plane view: degrade/restore events, every
     breaker transition, and drops by reason (all empty when idle)."""
@@ -276,6 +285,20 @@ def run_fleet_schedule(kills: tuple[KillSpec, ...], *, seed: int,
 # -- chaos soak ---------------------------------------------------------------
 
 
+def _first_bundle_only(flight_path: str | None):
+    """:func:`run_fleet` for a soak's runs: ``flight_path`` is handed on
+    until one run writes its bundle, so the soak keeps the first."""
+    pending = [flight_path]
+
+    def run(cfg: FleetConfig, **kw: Any) -> dict[str, Any]:
+        payload = run_fleet(cfg, flight_path=pending[0], **kw)
+        if payload["flight_dumped"]:
+            pending[0] = None
+        return payload
+
+    return run
+
+
 def run_fleet_soak(*, seed: int = 1, board_kills: int = 100,
                    boards: int = 8, per_run_kills: int = 4,
                    max_runs: int | None = None, workers: str = "inline",
@@ -286,86 +309,42 @@ def run_fleet_soak(*, seed: int = 1, board_kills: int = 100,
     board faults have actually fired, asserting F1-F6 + per-board
     invariants after each.  Deterministic: the i-th run is a pure
     function of ``seed + i``, so the payload is byte-identical across
-    reruns (the CI gate).
+    reruns (the CI gate).  Runs on :func:`~repro.faults.soak.drive_soak`.
     """
-    if max_runs is None:
-        max_runs = max(4 * board_kills // max(1, per_run_kills) + 4, 4)
-    merged = MetricSnapshot.empty()
-    runs: list[dict[str, Any]] = []
-    all_violations: list[str] = []
-    fired_total = 0
-    migrations_total = 0
-    sheds_total = 0
-    flight_written = False
-    i = 0
-    while fired_total < board_kills and i < max_runs:
+    run = _first_bundle_only(flight_path)
+
+    def step(i: int) -> SoakRun:
         cfg = FleetConfig(boards=boards, seed=seed + i, ticks=ticks,
                           tenants_per_board=tenants_per_board,
                           workers=workers)
         kills = make_kill_schedule(cfg, kills=per_run_kills)
         capture: dict[str, Any] = {}
-        payload = run_fleet(
-            cfg, kills=kills, _capture=capture,
-            flight_path=(None if flight_written else flight_path))
+        payload = run(cfg, kills=kills, _capture=capture)
         fired = len(payload["kills_fired"])
-        fired_total += fired
-        migrations_total += payload["fleet"]["migrations"]
-        sheds_total += payload["fleet"]["tenants_shed"]
-        run_violations = (payload["violations"]
-                          + [f"board {b}: {v}"
-                             for b, vs in
-                             sorted(payload["board_violations"].items())
-                             for v in vs])
-        all_violations.extend(f"run {i}: {v}" for v in run_violations)
-        if payload["flight_dumped"] and flight_path:
-            flight_written = True
-        runs.append({
-            "run": i,
-            "seed": seed + i,
-            "kills_scheduled": len(kills),
-            "kills_fired": fired,
-            "boards_declared_dead":
-                payload["fleet"]["boards_declared_dead"],
-            "migrations": payload["fleet"]["migrations"],
-            "fresh_restarts": payload["fleet"]["fresh_restarts"],
-            "tenants_shed": payload["fleet"]["tenants_shed"],
-            "tenants_dead": payload["fleet"]["tenants_dead"],
-            "served": payload["requests"]["served"],
-            "shed": payload["requests"]["shed"],
-            "violations": len(run_violations),
-            "tenants_accounted": payload["tenants_accounted"],
-            "ok": payload["ok"],
-        })
-        if stream is not None:
-            snap = capture["merged"]
-            merged = merged.merge(snap)
-            stream.emit_shard(f"run-{i}", snap, harness="fleet-soak",
-                              seed=seed + i, ok=payload["ok"])
-        i += 1
-    if stream is not None:
-        stream.emit_aggregate(merged, shards=len(runs),
-                              harness="fleet-soak", seed=seed)
-    runs_ok = bool(runs) and all(r["ok"] for r in runs)
-    reached = fired_total >= board_kills
-    incident = classify_incident(all_violations, runs_ok, reached)
-    return {
-        "seed": seed,
-        "kill_target": board_kills,
-        "boards": boards,
-        "workers": workers,
-        "runs": runs,
-        "totals": {
-            "runs": len(runs),
-            "kills_fired": fired_total,
-            "migrations": migrations_total,
-            "tenants_shed": sheds_total,
-            "invariant_violations": len(all_violations),
-        },
-        "violations": all_violations,
-        "reached_target": reached,
-        "incident": incident,
-        "ok": incident is None,
-    }
+        fleet = payload["fleet"]
+        violations = payload_violations(payload)
+        return SoakRun(
+            {"seed": seed + i, "kills_scheduled": len(kills),
+             "kills_fired": fired,
+             **{k: fleet[k] for k in ("boards_declared_dead", "migrations",
+                                      "fresh_restarts", "tenants_shed",
+                                      "tenants_dead")},
+             "served": payload["requests"]["served"],
+             "shed": payload["requests"]["shed"],
+             "violations": len(violations),
+             "tenants_accounted": payload["tenants_accounted"],
+             "ok": payload["ok"]},
+            [f"run {i}: {v}" for v in violations], capture["merged"])
+
+    if max_runs is None:
+        max_runs = max(4 * board_kills // max(1, per_run_kills) + 4, 4)
+    return {"kill_target": board_kills, "boards": boards,
+            "workers": workers,
+            **drive_soak(step, seed=seed, target=board_kills,
+                         max_runs=max_runs,
+                         totals={k: k for k in ("kills_fired", "migrations",
+                                                "tenants_shed")},
+                         harness="fleet-soak", stream=stream)}
 
 
 # -- migration proof ----------------------------------------------------------
@@ -522,14 +501,6 @@ def _class_totals(payload: dict[str, Any]) -> dict[str, dict[str, int]]:
     return out
 
 
-def _tagged_violations(tag: str, payload: dict[str, Any]) -> list[str]:
-    vs = list(payload["violations"])
-    vs += [f"board {b}: {v}"
-           for b, bvs in sorted(payload["board_violations"].items())
-           for v in bvs]
-    return [f"{tag}: {v}" for v in vs]
-
-
 def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
                    tenants_per_board: int = 2,
                    surge_factors: tuple[float, ...] = SURGE_FACTORS,
@@ -564,21 +535,15 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
     """
     from ..obs.slo import evaluate_rate_floor
 
-    flight_written = False
+    run = _first_bundle_only(flight_path)
 
     def one_run(overload: OverloadConfig,
                 kills: tuple[KillSpec, ...]) -> dict[str, Any]:
-        nonlocal flight_written
-        cfg = FleetConfig(boards=boards,
-                          tenants_per_board=tenants_per_board,
-                          seed=seed, ticks=ticks, workers=workers,
-                          overload=overload)
-        payload = run_fleet(
-            cfg, kills=kills, stream=stream,
-            flight_path=(None if flight_written else flight_path))
-        if payload["flight_dumped"] and flight_path:
-            flight_written = True
-        return payload
+        return run(FleetConfig(boards=boards,
+                               tenants_per_board=tenants_per_board,
+                               seed=seed, ticks=ticks, workers=workers,
+                               overload=overload),
+                   kills=kills, stream=stream)
 
     def be_fraction(cls: dict[str, dict[str, int]]) -> float | None:
         be = cls[BESTEFFORT]
@@ -598,7 +563,7 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
     # by deadline-vs-frame-period geometry, identical in every run.
     crit_floor = (round(goodput_floor * base_crit_ratio, 6)
                   if base_crit_ratio is not None else goodput_floor)
-    all_violations = _tagged_violations("baseline", base)
+    all_violations = [f"baseline: {v}" for v in payload_violations(base)]
 
     # Phase B: escalating surges, each with a storm and a board kill.
     kills = (
@@ -618,8 +583,8 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
             cls[CRITICAL]["goodput"], cls[CRITICAL]["admitted"],
             min_ratio=crit_floor, min_denominator=8)
         frac = be_fraction(cls)
-        tag = f"surge x{factor:g}"
-        all_violations.extend(_tagged_violations(tag, payload))
+        violations = payload_violations(payload)
+        all_violations.extend(f"surge x{factor:g}: {v}" for v in violations)
         if p99 is not None and (worst_p99 is None or p99 > worst_p99):
             worst_p99 = p99
         if crit_ratio is not None and (worst_crit_ratio is None
@@ -646,7 +611,7 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
             "boards_stormed": payload["fleet"]["boards_stormed"],
             "traffic_surges": payload["fleet"]["traffic_surges"],
             "migrations": payload["fleet"]["migrations"],
-            "violations": len(_tagged_violations("", payload)),
+            "violations": len(violations),
             "ok": payload["ok"],
         })
 

@@ -26,6 +26,7 @@ view, emitted by the soak harness), ``slo_breach`` (from
 
 from __future__ import annotations
 
+import contextlib
 import json
 from typing import Any, Callable
 
@@ -213,3 +214,41 @@ class TelemetryStream:
         if self._sim is not None:
             self._sim.detach_stream(self)
             self._sim = None
+
+
+@contextlib.contextmanager
+def live_stream(sc, *, sink=None, interval_ms: float | None = None,
+                slo_rules=None, source: str = "run", seed: int | None = None,
+                meta: dict[str, Any] | None = None):
+    """Tap a scenario's engine with the delta stream and SLO engine.
+
+    Streams ``sc``'s registry to ``sink`` every ``interval_ms``
+    simulated milliseconds (default :data:`DEFAULT_INTERVAL_MS`) and
+    evaluates ``slo_rules`` on it (:mod:`repro.obs.slo`).  Yields
+    ``(stream, engine)`` — ``(None, None)`` when neither a sink nor
+    rules are given — and closes the stream, then ``sink``, on the way
+    out.  Shared by ``python -m repro run`` and the bench.
+    """
+    if sink is None and slo_rules is None:
+        yield None, None
+        return
+    from ..common.units import ms_to_cycles
+    from .slo import SloEngine
+
+    hz = sc.machine.params.cpu.hz
+    stream = TelemetryStream(
+        sc.metrics,
+        interval_cycles=ms_to_cycles(
+            DEFAULT_INTERVAL_MS if interval_ms is None else interval_ms, hz),
+        sink=sink, source=source, seed=seed, meta=meta)
+    engine = None
+    if slo_rules is not None:
+        engine = SloEngine(slo_rules, metrics=sc.metrics)
+        engine.attach(stream)
+    stream.attach(sc.machine.sim)
+    try:
+        yield stream, engine
+    finally:
+        stream.close()
+        if sink is not None:
+            sink.close()

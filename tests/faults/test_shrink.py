@@ -70,13 +70,12 @@ class TestSyntheticShrinks:
         assert out["replayed_identical"] is False
 
 
-def test_mutation_smoke_finds_and_shrinks_the_regression(monkeypatch):
-    """Disable the watchdog-reclaim path via the environment knob: the
-    explorer must find the planted regression on its prr.hang schedules
-    and shrink each failure to a <=2-fault, byte-identical repro."""
-    monkeypatch.setenv("REPRO_EXPLORE_MUTATE", "watchdog_reclaim")
+def test_mutation_smoke_finds_and_shrinks_the_regression():
+    """Disable the watchdog-reclaim path via ``mutate``: the explorer
+    must find the planted regression on its prr.hang schedules and
+    shrink each failure to a <=2-fault, byte-identical repro."""
     payload = run_explore(budget=12, seed=7, include_fleet=False,
-                          max_shrinks=1)
+                          max_shrinks=1, mutate="watchdog_reclaim")
     assert payload["mutate"] == "watchdog_reclaim"
     assert payload["incident"] == "invariant_violation"
     assert payload["totals"]["failures"] >= 1
