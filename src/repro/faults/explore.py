@@ -41,6 +41,7 @@ from typing import Any, Callable
 from ..eval.scenarios import build_virtualized
 from ..guest.ports.paravirt import ParavirtUcos
 from ..guest.ucos import Ucos
+from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from .coverage import CoverageTracker, paths_fired
 from .matrix import _PRIO_AUX, _make_fallback_task
@@ -138,10 +139,12 @@ class Schedule:
 
 
 def run_inline_schedule(faults, *, seed: int, mutate: str | None = None,
-                        flight_path: str | None = None) -> dict[str, Any]:
+                        flight: FlightRecorder | None = None
+                        ) -> dict[str, Any]:
     """Execute one inline schedule against the standard two-guest
     scenario; returns a JSON-stable result with oracle checks and the
-    run's recovery-path fingerprint."""
+    run's recovery-path fingerprint.  A failing run is offered to
+    ``flight``, which keeps the first bundle."""
     specs = tuple(FaultSpec.from_dict(dict(f)) for f in faults)
     sites = {s.site for s in specs}
     persistent = any(s.max_fires == UNLIMITED and s.site in
@@ -186,8 +189,7 @@ def run_inline_schedule(faults, *, seed: int, mutate: str | None = None,
     else:
         sc.run_until_completions(6, max_ms=500.0)
 
-    checks, violations = sweep(sc, lifecycle=True,
-                               slack=1 + plan.fires(VM_KILL))
+    checks, violations = sweep(sc, slack=1 + plan.fires(VM_KILL))
     checks["results_verified"] = all(g.thw_stats.verified_bad == 0
                                      for g in sc.guests)
     if SERVICE_CRASH in sites:
@@ -199,13 +201,11 @@ def run_inline_schedule(faults, *, seed: int, mutate: str | None = None,
     else:
         checks["made_progress"] = sc.total_completions() >= 1
     ok = all(checks.values())
-    if flight_path and not ok:
-        from ..obs.flight import FlightRecorder
-        fr = FlightRecorder(flight_path)
-        fr.arm(kernel, seed=seed, plan=plan,
-               context={"harness": "explore", "mutate": mutate or ""})
-        fr.dump("explore_failure",
-                checks={k: bool(v) for k, v in sorted(checks.items())})
+    if flight is not None and not ok:
+        flight.arm(kernel, seed=seed,
+                   context={"harness": "explore", "mutate": mutate or ""})
+        flight.dump("explore_failure",
+                    checks={k: bool(v) for k, v in sorted(checks.items())})
     return {
         "kind": "inline",
         "seed": seed,
@@ -221,23 +221,16 @@ def run_inline_schedule(faults, *, seed: int, mutate: str | None = None,
 
 
 def run_fleet_exec(faults, *, seed: int,
-                   flight_path: str | None = None) -> dict[str, Any]:
+                   flight: FlightRecorder | None = None) -> dict[str, Any]:
     """Execute one board-fault schedule via the fleet harness's
     programmatic entry; same result shape as the inline executor."""
     from ..fleet.dispatcher import KillSpec
-    from ..fleet.harness import payload_violations, run_fleet_schedule
+    from ..fleet.harness import (FLEET_TOTALS, payload_violations,
+                                 run_fleet_schedule)
     kills = tuple(KillSpec(**dict(f)) for f in faults)
-    payload = run_fleet_schedule(kills, seed=seed, flight_path=flight_path)
+    payload = run_fleet_schedule(kills, seed=seed, flight=flight)
     fleet = payload["fleet"]
-    totals = {
-        "fleet.boards.declared_dead": fleet["boards_declared_dead"],
-        "fleet.migrations": fleet["migrations"],
-        "fleet.boards.rejoined": fleet["boards_rejoined"],
-        "fleet.admission.dropped": fleet["admission_dropped"],
-        "fleet.admission.degraded": fleet["admission_degraded"],
-        "fleet.rpc.retries_denied": fleet["rpc_retries_denied"],
-        "fleet.breaker.opens": fleet["breaker_opens"],
-    }
+    totals = {metric: fleet[key] for key, metric in FLEET_TOTALS}
     violations = payload_violations(payload)
     checks = {
         "invariants_hold": not violations,
@@ -261,12 +254,12 @@ def run_fleet_exec(faults, *, seed: int,
 
 def execute_schedule(kind: str, faults, *, seed: int,
                      mutate: str | None = None,
-                     flight_path: str | None = None) -> dict[str, Any]:
+                     flight: FlightRecorder | None = None) -> dict[str, Any]:
     """Kind-dispatching executor (the shrinker's and ``--repro``'s entry)."""
     if kind == "fleet":
-        return run_fleet_exec(faults, seed=seed, flight_path=flight_path)
+        return run_fleet_exec(faults, seed=seed, flight=flight)
     return run_inline_schedule(faults, seed=seed, mutate=mutate,
-                               flight_path=flight_path)
+                               flight=flight)
 
 
 # -- pilot --------------------------------------------------------------------
@@ -469,12 +462,11 @@ def run_explore(*, budget: int = 150, seed: int = 7, floor: float = 0.9,
     tracker = CoverageTracker()
     executed: list[dict[str, Any]] = []
     failures: list[tuple[Schedule, dict[str, Any]]] = []
+    flight = FlightRecorder(flight_path) if flight_path else None
 
     def execute(sched: Schedule) -> None:
         res = execute_schedule(sched.kind, sched.faults, seed=seed,
-                               mutate=mutate,
-                               flight_path=(flight_path
-                                            if not failures else None))
+                               mutate=mutate, flight=flight)
         c_sched.inc()
         novel = tracker.observe(res["fired_sites"], res["paths"])
         if novel:
@@ -582,7 +574,8 @@ def replay_repro(repro: dict[str, Any], *,
     mutate = repro.get("mutate")
     first = execute_schedule(repro["kind"], repro["faults"],
                              seed=int(repro["seed"]), mutate=mutate,
-                             flight_path=flight_path)
+                             flight=(FlightRecorder(flight_path)
+                                     if flight_path else None))
     second = execute_schedule(repro["kind"], repro["faults"],
                               seed=int(repro["seed"]), mutate=mutate)
     fp1, fp2 = result_fingerprint(first), result_fingerprint(second)

@@ -2,9 +2,10 @@
 
 Each scenario builds a small virtualized setup around a seeded
 :class:`~repro.faults.plan.FaultPlan`, runs it for a bounded horizon, and
-returns a JSON-serializable dict: the fault/recovery counters, the
-guest-visible outcome, and a ``checks`` map of named pass/fail booleans
-(``ok`` is their conjunction).  Same seed → byte-identical JSON — the CI
+returns its scenario object, a ``checks`` map of named pass/fail booleans
+and its guest-visible outcome; :func:`run_scenario` turns that into a
+JSON-serializable dict with the fault/recovery counters (``ok`` is the
+checks' conjunction).  Same seed → byte-identical JSON — the CI
 ``fault-matrix`` job runs every scenario twice and diffs the output.
 
 Run them via ``python -m repro faults --scenario <name>`` (or ``all``);
@@ -27,6 +28,7 @@ from ..guest.ports.paravirt import ParavirtUcos
 from ..guest.ucos import Ucos
 from ..eval.scenarios import build_virtualized
 from ..kernel.hypercalls import HcStatus
+from ..obs.flight import FlightRecorder
 from .plan import (
     BITSTREAM_CORRUPT,
     FaultPlan,
@@ -45,6 +47,10 @@ from .rogue import RogueStats, WildRunner, make_bad_hypercall_task, \
 #: Priority for matrix-specific guest tasks (below T_hw's 5).
 _PRIO_AUX = 6
 
+#: What a scenario returns: its scenario object, its named checks, and
+#: its extra result fields.
+Outcome = tuple[Any, dict[str, bool], dict[str, Any]]
+
 
 def _fault_counters(kernel) -> dict[str, int]:
     """The fault/recovery slice of the metrics registry, label-summed."""
@@ -62,21 +68,6 @@ def _fault_counters(kernel) -> dict[str, int]:
     }
 
 
-def _result(name: str, seed: int, sc, checks: dict[str, bool],
-            **extra: Any) -> dict[str, Any]:
-    out = {
-        "scenario": name,
-        "seed": seed,
-        "cycles": sc.kernel.sim.now,
-        "counters": _fault_counters(sc.kernel),
-        "plan": sc.injector.plan.summary() if sc.injector else {},
-        "checks": {k: bool(v) for k, v in sorted(checks.items())},
-        "ok": all(checks.values()),
-    }
-    out.update(extra)
-    return out
-
-
 def _thw(sc, i: int = 0) -> dict[str, int]:
     s = sc.guests[i].thw_stats
     return {"requests": s.requests, "completions": s.completions,
@@ -86,8 +77,7 @@ def _thw(sc, i: int = 0) -> dict[str, int]:
 
 # -- scenarios ----------------------------------------------------------------
 
-def scenario_pcap_retry(seed: int = 1, *, extra_specs=(),
-                    _capture=None) -> dict[str, Any]:
+def scenario_pcap_retry(seed: int = 1, *, extra_specs=()) -> Outcome:
     """One corrupted bitstream: the PCAP retries and the guest completes."""
     plan = FaultPlan([FaultSpec(BITSTREAM_CORRUPT, max_fires=1),
                       *extra_specs], seed=seed)
@@ -95,8 +85,6 @@ def scenario_pcap_retry(seed: int = 1, *, extra_specs=(),
                            iterations=3, task_set=("fft256",),
                            fault_plan=plan)
     sc.run_until_completions(3, max_ms=400.0)
-    if _capture is not None:
-        _capture["sc"] = sc
     c = _fault_counters(sc.kernel)
     t = _thw(sc)
     checks = {
@@ -106,11 +94,10 @@ def scenario_pcap_retry(seed: int = 1, *, extra_specs=(),
         "guest_completed": t["completions"] >= 3,
         "results_correct": t["verified_bad"] == 0 and t["verified_ok"] >= 3,
     }
-    return _result("pcap-retry", seed, sc, checks, thw=t)
+    return sc, checks, {"thw": t}
 
 
-def scenario_pcap_fail(seed: int = 1, *, extra_specs=(),
-                    _capture=None) -> dict[str, Any]:
+def scenario_pcap_fail(seed: int = 1, *, extra_specs=()) -> Outcome:
     """Persistent PCAP errors: bounded retries, then a VM-visible error
     status — the guest survives, nothing hangs."""
     plan = FaultPlan([FaultSpec(PCAP_TRANSFER_ERROR, max_fires=UNLIMITED),
@@ -119,8 +106,6 @@ def scenario_pcap_fail(seed: int = 1, *, extra_specs=(),
                            iterations=2, task_set=("fft256",),
                            fault_plan=plan)
     sc.run_ms(150.0)
-    if _capture is not None:
-        _capture["sc"] = sc
     c = _fault_counters(sc.kernel)
     t = _thw(sc)
     checks = {
@@ -130,11 +115,10 @@ def scenario_pcap_fail(seed: int = 1, *, extra_specs=(),
         "vm_survived": c["vm_kills"] == 0,
         "requests_finished": t["requests"] >= 2,
     }
-    return _result("pcap-fail", seed, sc, checks, thw=t)
+    return sc, checks, {"thw": t}
 
 
-def scenario_hw_hang(seed: int = 1, *, extra_specs=(),
-                    _capture=None) -> dict[str, Any]:
+def scenario_hw_hang(seed: int = 1, *, extra_specs=()) -> Outcome:
     """A started task never signals DONE: the controller watchdog expires,
     the manager force-reclaims the PRR, the guest re-requests and wins."""
     plan = FaultPlan([FaultSpec(PRR_HANG, max_fires=1), *extra_specs],
@@ -145,8 +129,6 @@ def scenario_hw_hang(seed: int = 1, *, extra_specs=(),
                            with_workloads=False, iterations=4,
                            task_set=("fft256",), fault_plan=plan)
     sc.run_until_completions(4, max_ms=600.0)
-    if _capture is not None:
-        _capture["sc"] = sc
     c = _fault_counters(sc.kernel)
     t = _thw(sc)
     lat = sc.kernel.metrics.histogram("recovery.latency_cycles")
@@ -158,13 +140,12 @@ def scenario_hw_hang(seed: int = 1, *, extra_specs=(),
         "guest_recovered": t["completions"] >= 4,
         "results_correct": t["verified_bad"] == 0,
     }
-    return _result("hw-hang", seed, sc, checks, thw=t,
-                   recovery_latency_cycles=int(lat.sum),
-                   free_prrs=free_prrs)
+    return sc, checks, {"thw": t,
+                        "recovery_latency_cycles": int(lat.sum),
+                        "free_prrs": free_prrs}
 
 
-def scenario_spurious_done(seed: int = 1, *, extra_specs=(),
-                    _capture=None) -> dict[str, Any]:
+def scenario_spurious_done(seed: int = 1, *, extra_specs=()) -> Outcome:
     """Spurious DONE IRQs mid-computation: the client re-waits instead of
     reading a half-written result."""
     plan = FaultPlan([FaultSpec(PRR_SPURIOUS_DONE, max_fires=2),
@@ -173,8 +154,6 @@ def scenario_spurious_done(seed: int = 1, *, extra_specs=(),
                            with_workloads=False, iterations=4,
                            task_set=("qam16",), fault_plan=plan)
     sc.run_until_completions(4, max_ms=400.0)
-    if _capture is not None:
-        _capture["sc"] = sc
     c = _fault_counters(sc.kernel)
     t = _thw(sc)
     checks = {
@@ -183,11 +162,10 @@ def scenario_spurious_done(seed: int = 1, *, extra_specs=(),
         "guest_completed": t["completions"] >= 4,
         "results_correct": t["verified_bad"] == 0 and t["verified_ok"] >= 4,
     }
-    return _result("spurious-done", seed, sc, checks, thw=t)
+    return sc, checks, {"thw": t}
 
 
-def scenario_plirq_storm(seed: int = 1, *, extra_specs=(),
-                    _capture=None) -> dict[str, Any]:
+def scenario_plirq_storm(seed: int = 1, *, extra_specs=()) -> Outcome:
     """A burst of unsolicited PL IRQs on an unowned line: the kernel EOIs
     and counts them; no guest sees a phantom completion."""
     plan = FaultPlan([FaultSpec(PLIRQ_STORM, params={
@@ -197,8 +175,6 @@ def scenario_plirq_storm(seed: int = 1, *, extra_specs=(),
                            iterations=3, task_set=("fft256", "qam16"),
                            fault_plan=plan)
     sc.run_until_completions(6, max_ms=400.0)
-    if _capture is not None:
-        _capture["sc"] = sc
     c = _fault_counters(sc.kernel)
     checks = {
         "storm_fired": plan.fires(PLIRQ_STORM) == 1,
@@ -208,8 +184,7 @@ def scenario_plirq_storm(seed: int = 1, *, extra_specs=(),
                               for g in sc.guests),
         "no_kills": c["vm_kills"] == 0,
     }
-    return _result("plirq-storm", seed, sc, checks,
-                   completions=sc.total_completions())
+    return sc, checks, {"completions": sc.total_completions()}
 
 
 def _make_fallback_task(directory: dict[str, int], results: dict, *,
@@ -241,8 +216,7 @@ def _make_fallback_task(directory: dict[str, int], results: dict, *,
     return fn
 
 
-def scenario_sw_fallback(seed: int = 1, *, extra_specs=(),
-                    _capture=None) -> dict[str, Any]:
+def scenario_sw_fallback(seed: int = 1, *, extra_specs=()) -> Outcome:
     """Every reconfiguration fails: the adaptive FFT/QAM APIs degrade to
     software with bit-identical output."""
     plan = FaultPlan([FaultSpec(PCAP_TRANSFER_ERROR, max_fires=UNLIMITED),
@@ -254,8 +228,6 @@ def scenario_sw_fallback(seed: int = 1, *, extra_specs=(),
         "fallback", _PRIO_AUX,
         _make_fallback_task(sc.directory, results, seed=seed))
     sc.run_ms(200.0)
-    if _capture is not None:
-        _capture["sc"] = sc
     c = _fault_counters(sc.kernel)
     checks = {
         "both_fell_back": c["sw_fallbacks"] == 2,
@@ -267,13 +239,12 @@ def scenario_sw_fallback(seed: int = 1, *, extra_specs=(),
         "qam_correct": bool(results.get("qam_correct")),
         "pcap_gave_up": c["pcap_giveups"] >= 1,
     }
-    return _result("sw-fallback", seed, sc, checks,
-                   fallback={k: (bool(v) if isinstance(v, bool) else int(v))
-                             for k, v in sorted(results.items())})
+    return sc, checks, {
+        "fallback": {k: (bool(v) if isinstance(v, bool) else int(v))
+                     for k, v in sorted(results.items())}}
 
 
-def scenario_rogue_guest(seed: int = 1, *, extra_specs=(),
-                    _capture=None) -> dict[str, Any]:
+def scenario_rogue_guest(seed: int = 1, *, extra_specs=()) -> Outcome:
     """Three misbehaving guests next to one healthy one: a hypercall
     fuzzer, a wild-DMA client, and a wild-pointer VM.  The fuzzer and the
     DMA client are rejected call-by-call; the wild-pointer VM is killed;
@@ -304,8 +275,6 @@ def scenario_rogue_guest(seed: int = 1, *, extra_specs=(),
     wild_pd = kernel.create_vm("rogue-ptr", wild)
 
     sc.run_ms(200.0)
-    if _capture is not None:
-        _capture["sc"] = sc
     c = _fault_counters(sc.kernel)
     t = _thw(sc)
     from ..kernel.pd import PdState
@@ -317,14 +286,14 @@ def scenario_rogue_guest(seed: int = 1, *, extra_specs=(),
         "healthy_guest_ok": t["completions"] >= 3 and t["verified_bad"] == 0,
         "injections_counted": c["fault_injected"] >= 31,
     }
-    return _result("rogue-guest", seed, sc, checks, thw=t,
-                   fuzzer={"issued": hc_stats.issued,
-                           "by_status": dict(sorted(
-                               hc_stats.by_status.items()))})
+    return sc, checks, {"thw": t,
+                        "fuzzer": {"issued": hc_stats.issued,
+                                   "by_status": dict(sorted(
+                                       hc_stats.by_status.items()))}}
 
 
 #: The catalog, in documentation order.
-SCENARIOS: dict[str, Callable[[int], dict[str, Any]]] = {
+SCENARIOS: dict[str, Callable[..., Outcome]] = {
     "pcap-retry": scenario_pcap_retry,
     "pcap-fail": scenario_pcap_fail,
     "hw-hang": scenario_hw_hang,
@@ -335,20 +304,26 @@ SCENARIOS: dict[str, Callable[[int], dict[str, Any]]] = {
 }
 
 
-def _flight_on_failure(name: str, seed: int, result: dict[str, Any],
-                       capture: dict[str, Any],
-                       flight_path: str | None) -> None:
-    """Dump a post-mortem bundle when a matrix scenario's checks fail."""
-    if flight_path is None or result["ok"] or "sc" not in capture:
-        return
-    from ..obs.flight import FlightRecorder
-
-    sc = capture["sc"]
-    fr = FlightRecorder(flight_path)
-    fr.arm(sc.kernel, seed=seed,
-           plan=sc.injector.plan if sc.injector else None,
-           context={"harness": "fault-matrix", "scenario": name})
-    fr.dump("fault_matrix_failure", checks=result["checks"])
+def _run(name: str, seed: int, flight: FlightRecorder | None
+         ) -> dict[str, Any]:
+    """Run one scenario and build its result; a failing one is offered
+    to ``flight``, which keeps the first bundle."""
+    sc, checks, extra = SCENARIOS[name](seed)
+    result = {
+        "scenario": name,
+        "seed": seed,
+        "cycles": sc.kernel.sim.now,
+        "counters": _fault_counters(sc.kernel),
+        "plan": sc.injector.plan.summary() if sc.injector else {},
+        "checks": {k: bool(v) for k, v in sorted(checks.items())},
+        "ok": all(checks.values()),
+        **extra,
+    }
+    if flight is not None and not result["ok"]:
+        flight.arm(sc.kernel, seed=seed,
+                   context={"harness": "fault-matrix", "scenario": name})
+        flight.dump("fault_matrix_failure", checks=result["checks"])
+    return result
 
 
 def run_scenario(name: str, seed: int = 1, *,
@@ -356,24 +331,14 @@ def run_scenario(name: str, seed: int = 1, *,
     if name not in SCENARIOS:
         raise KeyError(f"unknown fault scenario {name!r} "
                        f"(known: {', '.join(SCENARIOS)})")
-    capture: dict[str, Any] = {}
-    result = SCENARIOS[name](seed, _capture=capture)
-    _flight_on_failure(name, seed, result, capture, flight_path)
-    return result
+    return _run(name, seed, FlightRecorder(flight_path) if flight_path
+                else None)
 
 
 def run_all(seed: int = 1, *,
             flight_path: str | None = None) -> dict[str, Any]:
-    results: dict[str, Any] = {}
-    for name, fn in SCENARIOS.items():
-        capture: dict[str, Any] = {}
-        results[name] = fn(seed, _capture=capture)
-        # First failing scenario wins the bundle (the recorder path is
-        # per-invocation, so later failures would only overwrite it).
-        if flight_path is not None and not results[name]["ok"]:
-            _flight_on_failure(name, seed, results[name], capture,
-                               flight_path)
-            flight_path = None
+    flight = FlightRecorder(flight_path) if flight_path else None
+    results = {name: _run(name, seed, flight) for name in SCENARIOS}
     return {
         "seed": seed,
         "scenarios": results,

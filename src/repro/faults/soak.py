@@ -11,8 +11,8 @@ while injecting ``service.crash`` / ``service.hang`` faults into the
 Hardware Task Manager at randomized-but-seeded points, and asserts the
 recovery invariants after every run:
 
-* the invariant checker (:func:`repro.hwmgr.invariants.check_invariants`)
-  reports **zero** violations against hardware ground truth;
+* the board sweep (:func:`repro.hwmgr.invariants.check_board`, I1-I8 +
+  L1-L6) reports **zero** violations against hardware ground truth;
 * the intent journal balances — every opened entry was committed or
   aborted exactly once (no lost or double-applied operations);
 * request conservation per guest: every request the workload issued is
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Callable, NamedTuple
 
 from ..common.rng import make_rng
-from ..hwmgr.invariants import check_invariants, check_lifecycle_invariants
+from ..hwmgr.invariants import check_board
 from ..obs.aggregate import MetricSnapshot
 from ..obs.flight import FlightRecorder
 from .matrix import SCENARIOS
@@ -92,19 +92,16 @@ def incident_exit_code(payload: dict[str, Any]) -> int:
     return 0
 
 
-def sweep(sc, *, lifecycle: bool = False,
-          slack: int = 1) -> tuple[dict[str, bool], list[str]]:
+def sweep(sc, *, slack: int = 1) -> tuple[dict[str, bool], list[str]]:
     """The post-run oracle of every inline harness (the soaks and the
-    explorer): the I1-I8 sweep (plus L1-L6 with ``lifecycle``), journal
-    balance, the supervisor's violation metric, and request conservation
-    per guest — every issued request completed, busy or errored, with at
-    most ``slack`` unaccounted (one in flight at the horizon cut, plus
-    one per VM kill).  Returns ``(checks, violations)``."""
+    explorer): the board sweep (I1-I8 + L1-L6), journal balance, the
+    supervisor's violation metric, and request conservation per guest —
+    every issued request completed, busy or errored, with at most
+    ``slack`` unaccounted (one in flight at the horizon cut, plus one
+    per VM kill).  Returns ``(checks, violations)``."""
     kernel = sc.kernel
     journal = kernel.manager_journal
-    violations = check_invariants(kernel)
-    if lifecycle:
-        violations += check_lifecycle_invariants(kernel)
+    violations = check_board(kernel)
     return {
         "invariants_hold": not violations,
         "journal_balanced": journal is None or journal.balanced(),
@@ -190,23 +187,21 @@ def _inline_run(i: int, seed: int, spec: FaultSpec, *, harness: str,
     fields to ``run.record``.
 
     The manager soak checks that every fired crash was handled and
-    restarted; the VM soak (``vm_kills``) adds the lifecycle sweep, the
-    kill count and the cycle ledger instead.  The flight recorder dumps
-    once, on the first qualifying run: an invariant violation or failed
-    check if one occurs, otherwise the first run where a fault actually
-    fired (the seeded-crash replay CI validates).  The soak payload
-    itself is untouched, so the byte-identity gate keeps holding.
+    restarted; the VM soak (``vm_kills``) adds the kill count and the
+    cycle ledger instead.  A run qualifies for the flight bundle on an
+    invariant violation, a failed check, or a fault that actually fired
+    (the seeded-crash replay CI validates); the soak's one recorder
+    keeps the first.  The soak payload itself is untouched, so the
+    byte-identity gate keeps holding.
     """
     names = list(SCENARIOS)
     name = names[i % len(names)]
-    capture: dict[str, Any] = {}
-    SCENARIOS[name](seed + i, extra_specs=(spec,), _capture=capture)
-    sc = capture["sc"]
+    sc = SCENARIOS[name](seed + i, extra_specs=(spec,))[0]
     kernel = sc.kernel
     plan = sc.injector.plan
     if vm_kills:
         fired = plan.fires(VM_KILL)
-        checks, violations = sweep(sc, lifecycle=True, slack=1 + fired)
+        checks, violations = sweep(sc, slack=1 + fired)
         acct = kernel.acct
         acct.settle()
         checks["kills_counted"] = (
@@ -229,15 +224,13 @@ def _inline_run(i: int, seed: int, spec: FaultSpec, *, harness: str,
     checks = {k: bool(v) for k, v in sorted(checks.items())}
     run = SoakRun({"scenario": name, "checks": checks, "ok": ok},
                   violations, MetricSnapshot.of(kernel.metrics))
-    if flight is not None and flight.bundle is None \
-            and (violations or not ok or fired):
+    if flight is not None and (violations or not ok or fired):
         flight.arm(kernel, seed=seed + i, plan=plan,
                    context={"harness": harness, "run": i,
                             "scenario": name, **context})
-        reason = ("invariant_violation" if violations
-                  else "soak_checks_failed" if not ok
-                  else "soak_replay")
-        flight.dump(reason, fired=fired, checks=checks)
+        flight.dump("invariant_violation" if violations
+                    else "soak_checks_failed" if not ok
+                    else "soak_replay", fired=fired, checks=checks)
     return sc, fired, run
 
 
@@ -303,9 +296,9 @@ def run_vm_soak(*, seed: int = 1, kills: int = 100,
 
     Each iteration arms a :data:`~repro.faults.plan.VM_KILL` spec with a
     seeded kill time, kill count, victim rotation and restart policy,
-    then asserts the hardware invariants (I1-I8) *plus* the VM-lifecycle
-    invariants (no leaked PRR, no dead-epoch vIRQ, balanced cycle
-    ledger) after every run.  Deterministic like :func:`run_soak`: four
+    then asserts the board sweep (I1-I8 + the VM-lifecycle L1-L6: no
+    leaked PRR, no dead-epoch vIRQ), the kill count and a balanced cycle
+    ledger after every run.  Deterministic like :func:`run_soak`: four
     RNG draws per iteration, JSON-stable payload.  ``stream`` /
     ``flight_path`` behave as in :func:`run_soak`.
     """

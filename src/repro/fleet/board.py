@@ -26,14 +26,14 @@ from typing import Any
 
 from ..guest.ports.paravirt import ParavirtUcos
 from ..guest.ucos import Ucos
-from ..hwmgr.invariants import check_invariants, check_lifecycle_invariants
+from ..hwmgr.invariants import check_board
 from ..hwmgr.service import ManagerService
 from ..kernel.core import MiniNova
 from ..kernel.lifecycle import VmCheckpoint
 from ..kernel.pd import PdState
 from ..machine import Machine, MachineConfig
 from ..obs.aggregate import MetricSnapshot
-from ..obs.flight import FlightRecorder
+from ..obs.flight import build_bundle
 from .tenant import TenantSpec, make_service_task
 
 #: Default task library installed on every fleet board (small: board
@@ -148,8 +148,7 @@ class BoardServer:
 
     def invariants(self) -> list[str]:
         """Board-local I1-I8 + L1-L6 sweep, as strings."""
-        return (check_invariants(self.kernel)
-                + check_lifecycle_invariants(self.kernel))
+        return check_board(self.kernel)
 
     def snapshot(self) -> dict[str, Any]:
         """The board registry's mergeable image (fleet aggregation)."""
@@ -163,15 +162,15 @@ class BoardServer:
 
     def flight_dump(self, reason: str,
                     info: dict[str, Any]) -> dict[str, Any]:
-        """Arm a flight recorder on this board and dump immediately —
-        the dispatcher calls this on the implicated board when a fleet
-        invariant trips (docs/FLEET.md §6)."""
-        flight = FlightRecorder(None)
-        flight.arm(self.kernel, seed=self.seed,
-                   context={"board": self.board_id,
-                            "tenants": dict(sorted(self._tenants.items())),
-                            **info})
-        return flight.dump(reason)
+        """This board's post-mortem bundle, built now — the dispatcher
+        calls this on the implicated board when a fleet invariant trips
+        (docs/FLEET.md §6) and hands the bundle to the harness's
+        recorder."""
+        return build_bundle(self.kernel, reason, {}, seed=self.seed,
+                            context={"board": self.board_id,
+                                     "tenants": dict(sorted(
+                                         self._tenants.items())),
+                                     **info})
 
     def shutdown(self) -> dict[str, Any]:
         return {"ok": True}

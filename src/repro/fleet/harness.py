@@ -30,7 +30,7 @@ from ..faults.plan import (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION,
 from ..faults.soak import SoakRun, classify_incident, drive_soak
 from ..obs.aggregate import MetricSnapshot
 from ..obs.analytics import SeriesSummary
-from ..obs.flight import write_bundle
+from ..obs.flight import FlightRecorder
 from .dispatcher import Dispatcher, FleetConfig, KillSpec
 from .overload import OverloadConfig
 from .tenant import BESTEFFORT, CRITICAL, DEAD, RUNNING, SHED, TenantSpec
@@ -65,16 +65,27 @@ def make_kill_schedule(cfg: FleetConfig, *, kills: int,
 
 def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
               tenants: list[TenantSpec] | None = None,
-              stream=None, flight_path: str | None = None,
-              _capture: dict[str, Any] | None = None) -> dict[str, Any]:
+              stream=None, flight_path: str | None = None) -> dict[str, Any]:
     """One fleet run; returns the JSON-stable payload.
 
     ``stream`` (a record bus) receives one ``shard`` record per
     surviving board plus the dispatcher's own registry, and the merged
     ``aggregate`` view (the PR 8 merge law).  ``flight_path`` writes the
-    first invariant-violation bundle, if any.  ``_capture`` hands the
-    live dispatcher and merged snapshot to callers (tests, the soak).
+    run's invariant-violation bundle, if any.
     """
+    return _run_fleet(cfg, kills=kills, tenants=tenants, stream=stream,
+                      flight=(FlightRecorder(flight_path) if flight_path
+                              else None))[0]
+
+
+def _run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
+               tenants: list[TenantSpec] | None = None, stream=None,
+               flight: FlightRecorder | None = None
+               ) -> tuple[dict[str, Any], MetricSnapshot]:
+    """:func:`run_fleet` for harnesses that run many: returns the
+    payload and the merged registry snapshot, and hands the bundle a
+    board built on a fleet invariant violation to ``flight`` (the
+    caller's one recorder, which keeps the first)."""
     disp = Dispatcher(cfg, tenants=tenants, kills=kills)
     try:
         disp.place_initial()
@@ -108,14 +119,43 @@ def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
                                   harness="fleet", seed=cfg.seed)
             if disp.overload is not None:
                 _emit_overload_records(stream, disp)
-        if flight_path and disp.flight_bundle is not None:
-            write_bundle(disp.flight_bundle, flight_path)
-        if _capture is not None:
-            _capture["disp"] = disp
-            _capture["merged"] = merged
-        return _payload(disp, cfg, board_violations)
+        if flight is not None and disp.flight_bundle is not None:
+            flight.keep(disp.flight_bundle)
+        return _payload(disp, cfg, board_violations), merged
     finally:
         disp.close()
+
+
+#: The payload's ``fleet`` block: (payload key, label-summed metric).
+FLEET_TOTALS = (
+    ("placements", "fleet.placements"),
+    ("migrations", "fleet.migrations"),
+    ("fresh_restarts", "fleet.restarts.fresh"),
+    ("checkpoints_pulled", "fleet.checkpoints.pulled"),
+    ("tenants_shed", "fleet.tenants.shed"),
+    ("tenants_dead", "fleet.tenants.dead"),
+    ("boards_declared_dead", "fleet.boards.declared_dead"),
+    ("boards_rejoined", "fleet.boards.rejoined"),
+    ("heartbeats_ok", "fleet.heartbeats.ok"),
+    ("heartbeats_missed", "fleet.heartbeats.missed"),
+    ("rpc_calls", "fleet.rpc.calls"),
+    ("rpc_failures", "fleet.rpc.failures"),
+    ("rpc_retries", "fleet.rpc.retries"),
+    ("rpc_backoff_cycles", "fleet.rpc.backoff_cycles"),
+    ("goodput", "fleet.goodput"),
+    ("admission_admitted", "fleet.admission.admitted"),
+    ("admission_dropped", "fleet.admission.dropped"),
+    ("admission_degraded", "fleet.admission.degraded"),
+    ("admission_restored", "fleet.admission.restored"),
+    ("overload_kills", "fleet.admission.overload_kills"),
+    ("rpc_retries_denied", "fleet.rpc.retries_denied"),
+    ("breaker_opens", "fleet.breaker.opens"),
+    ("breaker_half_opens", "fleet.breaker.half_opens"),
+    ("breaker_closes", "fleet.breaker.closes"),
+    ("breaker_short_circuits", "fleet.breaker.short_circuits"),
+    ("boards_stormed", "fleet.boards.stormed"),
+    ("traffic_surges", "fleet.traffic.surges"),
+)
 
 
 def _payload(disp: Dispatcher, cfg: FleetConfig,
@@ -147,36 +187,7 @@ def _payload(disp: Dispatcher, cfg: FleetConfig,
             "latency": {cls: SeriesSummary.from_samples(s).as_dict()
                         for cls, s in sorted(disp.latency.items())},
         },
-        "fleet": {
-            "placements": m.total("fleet.placements"),
-            "migrations": m.total("fleet.migrations"),
-            "fresh_restarts": m.total("fleet.restarts.fresh"),
-            "checkpoints_pulled": m.total("fleet.checkpoints.pulled"),
-            "tenants_shed": m.total("fleet.tenants.shed"),
-            "tenants_dead": m.total("fleet.tenants.dead"),
-            "boards_declared_dead": m.total("fleet.boards.declared_dead"),
-            "boards_rejoined": m.total("fleet.boards.rejoined"),
-            "heartbeats_ok": m.total("fleet.heartbeats.ok"),
-            "heartbeats_missed": m.total("fleet.heartbeats.missed"),
-            "rpc_calls": m.total("fleet.rpc.calls"),
-            "rpc_failures": m.total("fleet.rpc.failures"),
-            "rpc_retries": m.total("fleet.rpc.retries"),
-            "rpc_backoff_cycles": m.total("fleet.rpc.backoff_cycles"),
-            "goodput": m.total("fleet.goodput"),
-            "admission_admitted": m.total("fleet.admission.admitted"),
-            "admission_dropped": m.total("fleet.admission.dropped"),
-            "admission_degraded": m.total("fleet.admission.degraded"),
-            "admission_restored": m.total("fleet.admission.restored"),
-            "overload_kills": m.total("fleet.admission.overload_kills"),
-            "rpc_retries_denied": m.total("fleet.rpc.retries_denied"),
-            "breaker_opens": m.total("fleet.breaker.opens"),
-            "breaker_half_opens": m.total("fleet.breaker.half_opens"),
-            "breaker_closes": m.total("fleet.breaker.closes"),
-            "breaker_short_circuits":
-                m.total("fleet.breaker.short_circuits"),
-            "boards_stormed": m.total("fleet.boards.stormed"),
-            "traffic_surges": m.total("fleet.traffic.surges"),
-        },
+        "fleet": {key: m.total(metric) for key, metric in FLEET_TOTALS},
         "overload": _overload_block(disp),
         "violations": list(disp.violations),
         "board_violations": board_violations,
@@ -263,7 +274,8 @@ def run_fleet_schedule(kills: tuple[KillSpec, ...], *, seed: int,
                        boards: int = 3, ticks: int = 24,
                        tenants_per_board: int = 2,
                        workers: str = "inline",
-                       flight_path: str | None = None) -> dict[str, Any]:
+                       flight: FlightRecorder | None = None
+                       ) -> dict[str, Any]:
     """Execute exactly one fleet-fault schedule against a small fleet
     and return the JSON-stable :func:`run_fleet` payload.
 
@@ -272,31 +284,17 @@ def run_fleet_schedule(kills: tuple[KillSpec, ...], *, seed: int,
     ``fleet`` totals for recovery-path coverage.  Same ``(kills, seed)``
     always yields a byte-identical payload.  The overload plane is
     armed (:data:`EXPLORE_OVERLOAD`) so ``traffic.surge`` and
-    ``retry.storm`` have recovery paths to hit.
+    ``retry.storm`` have recovery paths to hit.  A board's
+    invariant-violation bundle goes to ``flight``.
     """
     cfg = FleetConfig(boards=boards, seed=seed, ticks=ticks,
                       tenants_per_board=tenants_per_board, workers=workers,
                       overload=EXPLORE_OVERLOAD)
-    return run_fleet(cfg, kills=tuple(sorted(
-        kills, key=lambda k: (k.tick, k.board, k.site))),
-        flight_path=flight_path)
+    return _run_fleet(cfg, kills=tuple(sorted(
+        kills, key=lambda k: (k.tick, k.board, k.site))), flight=flight)[0]
 
 
 # -- chaos soak ---------------------------------------------------------------
-
-
-def _first_bundle_only(flight_path: str | None):
-    """:func:`run_fleet` for a soak's runs: ``flight_path`` is handed on
-    until one run writes its bundle, so the soak keeps the first."""
-    pending = [flight_path]
-
-    def run(cfg: FleetConfig, **kw: Any) -> dict[str, Any]:
-        payload = run_fleet(cfg, flight_path=pending[0], **kw)
-        if payload["flight_dumped"]:
-            pending[0] = None
-        return payload
-
-    return run
 
 
 def run_fleet_soak(*, seed: int = 1, board_kills: int = 100,
@@ -311,15 +309,14 @@ def run_fleet_soak(*, seed: int = 1, board_kills: int = 100,
     function of ``seed + i``, so the payload is byte-identical across
     reruns (the CI gate).  Runs on :func:`~repro.faults.soak.drive_soak`.
     """
-    run = _first_bundle_only(flight_path)
+    flight = FlightRecorder(flight_path) if flight_path else None
 
     def step(i: int) -> SoakRun:
         cfg = FleetConfig(boards=boards, seed=seed + i, ticks=ticks,
                           tenants_per_board=tenants_per_board,
                           workers=workers)
         kills = make_kill_schedule(cfg, kills=per_run_kills)
-        capture: dict[str, Any] = {}
-        payload = run(cfg, kills=kills, _capture=capture)
+        payload, merged = _run_fleet(cfg, kills=kills, flight=flight)
         fired = len(payload["kills_fired"])
         fleet = payload["fleet"]
         violations = payload_violations(payload)
@@ -334,7 +331,7 @@ def run_fleet_soak(*, seed: int = 1, board_kills: int = 100,
              "violations": len(violations),
              "tenants_accounted": payload["tenants_accounted"],
              "ok": payload["ok"]},
-            [f"run {i}: {v}" for v in violations], capture["merged"])
+            [f"run {i}: {v}" for v in violations], merged)
 
     if max_runs is None:
         max_runs = max(4 * board_kills // max(1, per_run_kills) + 4, 4)
@@ -416,9 +413,8 @@ def run_fleet_bench(*, seed: int = 1,
     cfg = FleetConfig(boards=3, tenants_per_board=2, seed=seed, ticks=32,
                       workers=workers)
     kills = (KillSpec(tick=10, board=1, site=BOARD_CRASH),)
-    capture: dict[str, Any] = {}
     t0 = time.perf_counter()
-    payload = run_fleet(cfg, kills=kills, _capture=capture)
+    payload = run_fleet(cfg, kills=kills)
     wall = time.perf_counter() - t0
     lat = payload["requests"]["latency"]
     series: dict[str, Any] = {
@@ -535,15 +531,15 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
     """
     from ..obs.slo import evaluate_rate_floor
 
-    run = _first_bundle_only(flight_path)
+    flight = FlightRecorder(flight_path) if flight_path else None
 
     def one_run(overload: OverloadConfig,
                 kills: tuple[KillSpec, ...]) -> dict[str, Any]:
-        return run(FleetConfig(boards=boards,
-                               tenants_per_board=tenants_per_board,
-                               seed=seed, ticks=ticks, workers=workers,
-                               overload=overload),
-                   kills=kills, stream=stream)
+        return _run_fleet(FleetConfig(boards=boards,
+                                      tenants_per_board=tenants_per_board,
+                                      seed=seed, ticks=ticks,
+                                      workers=workers, overload=overload),
+                          kills=kills, stream=stream, flight=flight)[0]
 
     def be_fraction(cls: dict[str, dict[str, int]]) -> float | None:
         be = cls[BESTEFFORT]

@@ -79,7 +79,6 @@ def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
     expected_id = task_id_of(task_name)
     want_irq = sem is not None
     handle = HwTaskHandle(status=HcStatus.BUSY)
-    _note_fresh_request(os)
 
     for attempt in range(max_retries):
         res = yield HwRequest(task_id=task_table_id, iface_va=iface_va,
@@ -87,14 +86,7 @@ def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
         status, prr_id, irq_id = res
         if status in (HcStatus.BUSY, HcStatus.MANAGER_RESTARTING):
             # Transient: no PRR/PCAP available, or the manager service is
-            # being restarted (docs/RECOVERY.md) — back off and retry,
-            # unless the guest retry budget is spent (retries may never
-            # exceed their fixed fraction of fresh traffic; the denied
-            # request surfaces as BUSY and the adaptive APIs degrade to
-            # software instead of storming the manager).
-            if not _take_retry_budget(os):
-                handle.status = HcStatus.BUSY
-                return handle
+            # being restarted (docs/RECOVERY.md) — back off and retry.
             handle.retries += 1
             yield Delay(1)
             continue
@@ -251,29 +243,6 @@ def _note_sw_fallback(os: Ucos, kind: str) -> None:
         return
     kernel.metrics.counter("recovery.sw_fallbacks").inc()
     kernel.tracer.mark("sw_fallback", cat="fault", kind=kind)
-
-
-def _note_fresh_request(os: Ucos) -> None:
-    """Feed the guest retry budget one unit of fresh traffic (no-op
-    without a kernel or without a budget attached)."""
-    kernel = getattr(getattr(os, "port", None), "kernel", None)
-    if kernel is None or kernel.guest_retry_budget is None:
-        return
-    kernel.guest_retry_budget.note_fresh()
-
-
-def _take_retry_budget(os: Ucos) -> bool:
-    """May the BUSY/MANAGER_RESTARTING loop retry?  True without a
-    kernel or budget (legacy unbudgeted behaviour); a denial is counted
-    in ``recovery.retry_denials`` (the ``retry_budget`` guest leg)."""
-    kernel = getattr(getattr(os, "port", None), "kernel", None)
-    if kernel is None or kernel.guest_retry_budget is None:
-        return True
-    if kernel.guest_retry_budget.try_retry():
-        return True
-    kernel.metrics.counter("recovery.retry_denials").inc()
-    kernel.tracer.mark("retry_denied", cat="fault")
-    return False
 
 
 def _brownout_reroute(os: Ucos, kind: str) -> bool:

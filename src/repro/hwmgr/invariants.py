@@ -1,10 +1,12 @@
 """Runtime invariant checker for the hardware-task subsystem.
 
-Called by the supervisor after every manager restart (and freely from
-tests / the soak harness): walks the PRR controller, the manager's
-tables, the intent journal, guest page-table mappings and the kernel
-mailbox, and returns a list of human-readable violation strings — empty
-when the world is consistent.  docs/RECOVERY.md lists the invariants.
+:func:`check_board` is the sweep every caller runs — the supervisor
+after each manager restart, the harnesses after each run, a fleet board
+on request.  It walks the PRR controller, the manager's tables, the
+intent journal, guest page-table mappings, the kernel mailbox and the
+VM-lifecycle books, and returns human-readable violation strings —
+empty when the world is consistent.  docs/RECOVERY.md lists the
+invariants.
 """
 
 from __future__ import annotations
@@ -12,25 +14,13 @@ from __future__ import annotations
 from ..fpga.prr import PrrStatus
 from .journal import OP_ALLOCATE
 
-__all__ = ["assert_no_vm_leaks", "check_invariants",
-           "check_lifecycle_invariants", "report_violations"]
+__all__ = ["assert_no_vm_leaks", "check_board", "check_invariants",
+           "check_lifecycle_invariants"]
 
 
-def report_violations(kernel, violations, where: str) -> None:
-    """Route invariant violations to the armed flight recorder, if any.
-
-    Every checker caller (supervisor restart, soak harness, fault
-    matrix) funnels violations through here so an armed recorder dumps
-    its post-mortem bundle at the first sign of inconsistency.  The
-    caller keeps its own counting/tracing — this is the incident hook
-    only, and a no-op when nothing is armed or nothing is wrong.
-    """
-    if not violations:
-        return
-    flight = getattr(kernel, "flight", None)
-    if flight is not None:
-        flight.dump("invariant_violation", where=where,
-                    violations=list(violations))
+def check_board(kernel) -> list[str]:
+    """The whole board sweep: I1-I8, then L1-L6."""
+    return check_invariants(kernel) + check_lifecycle_invariants(kernel)
 
 
 def check_invariants(kernel) -> list[str]:

@@ -35,6 +35,7 @@ from ..hwmgr.journal import JOURNAL_OFF, OP_ALLOCATE, IntentJournal
 from ..gic.irqs import IRQ_PCAP_DONE, IRQ_PRIVATE_TIMER, SPURIOUS_IRQ, pl_line
 from ..machine import GIC_BASE, Machine
 from ..obs.accounting import VmAccounting
+from ..obs.flight import maybe_dump
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import DEFAULT_RING_CAPACITY, Tracer
 from . import layout as L
@@ -152,10 +153,6 @@ class MiniNova:
         #: manager service feeds it pressure, the adaptive guest APIs
         #: consult it for best-effort tasks (docs/FLEET.md §11).
         self.brownout = None
-        #: Guest-side retry budget (a :class:`repro.fleet.overload.
-        #: RetryBudget`; None = unbudgeted legacy retries).  Consulted by
-        #: the MANAGER_RESTARTING/BUSY retry loop in guest/api.py.
-        self.guest_retry_budget = None
         #: Flight-recorder attachment point (set by FlightRecorder.arm;
         #: None = no post-mortem bundle on incident — docs/OBSERVABILITY.md
         #: §13).  Purely observational: dumping never mutates kernel state.
@@ -327,10 +324,8 @@ class MiniNova:
         try:
             self._run_loop(until_cycles, until, max_iterations)
         except Exception as exc:
-            if self.flight is not None:
-                from ..obs.flight import maybe_dump
-                maybe_dump(self, "unhandled_exception",
-                           error=type(exc).__name__, detail=str(exc))
+            maybe_dump(self, "unhandled_exception",
+                       error=type(exc).__name__, detail=str(exc))
             raise
 
     def _run_loop(self, until_cycles, until, max_iterations) -> None:

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..cpu.modes import Mode
+from ..obs.flight import maybe_dump
 from . import layout as L
 from .costs import KERNEL_COSTS as C
 from .ivc import IVC_IRQ
@@ -265,11 +266,10 @@ class VmLifecycle:
         self.k.metrics.counter("vm.lifecycle.halts").inc()
         self.k.tracer.mark("vm_halted", cat="lifecycle", vm=pd.vm_id,
                            reason=reason)
-        if reason == "restart_budget" and self.k.flight is not None:
+        if reason == "restart_budget":
             # An exhausted restart budget is a terminal, incident-worthy
             # outcome (the VM is gone for good despite a restart policy):
             # capture the post-mortem while the corpse is still warm.
-            from ..obs.flight import maybe_dump
             maybe_dump(self.k, "restart_budget_exhausted",
                        vm=pd.vm_id, name=pd.name)
 

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from ..common.units import ms_to_cycles
 from ..cpu.modes import Mode
-from ..hwmgr.invariants import check_invariants, report_violations
+from ..hwmgr.invariants import check_board
 from ..hwmgr.recovery import recover
+from ..obs.flight import maybe_dump
 from .memory import DACR_GUEST_USER
 
 
@@ -138,11 +139,13 @@ class ManagerSupervisor:
             sysregs.write("CONTEXTIDR", pd.asid, privileged=True)
             sysregs.write("DACR", DACR_GUEST_USER, privileged=True)
             recover(k, service)
-            violations = check_invariants(k)
+            violations = check_board(k)
             for what in violations:
                 k.metrics.counter("supervisor.invariant_violations").inc()
                 k.tracer.mark("invariant_violation", cat="fault", what=what)
-            report_violations(k, violations, where="manager_restart")
+            if violations:
+                maybe_dump(k, "invariant_violation", where="manager_restart",
+                           violations=violations)
             k.metrics.histogram("supervisor.restart_cycles").observe(
                 k.sim.now - t0)
             k.tracer.mark("manager_recovered", cat="fault", reason=reason,

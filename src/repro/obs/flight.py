@@ -2,12 +2,16 @@
 
 Armed on a kernel (:meth:`FlightRecorder.arm` sets ``kernel.flight``),
 the recorder dumps a single post-mortem bundle the first time something
-goes wrong — an invariant violation (I1-I8, L1-L6, reported through
-:func:`repro.hwmgr.invariants.report_violations`), a fault-matrix check
-failure, a VM halted on an exhausted restart budget, or an unhandled
-exception escaping the kernel run loop.  Later triggers in the same run
-are counted but suppressed: the first bundle is the interesting one, and
-first-wins keeps the artifact deterministic.
+goes wrong.  Kernel-internal incidents — an I1-I8/L1-L6 violation after
+a manager restart, a VM halted on an exhausted restart budget, an
+unhandled exception escaping the run loop — all trigger it through
+:func:`maybe_dump`.  A harness builds one recorder per invocation and
+arms it on each run that qualifies once that run has ended (a failed
+check or invariant sweep); a fleet board's bundle, built by
+:func:`build_bundle` and returned over RPC, is handed to it with
+:meth:`FlightRecorder.keep`.  Later triggers are counted but suppressed:
+the first bundle is the interesting one, and first-wins keeps the
+artifact deterministic.
 
 The bundle is sorted-keys JSON containing everything a post-mortem
 needs and nothing host-dependent: the last-N trace-ring tail, a full
@@ -49,7 +53,7 @@ _REQUIRED_KEYS = {
 
 
 class FlightRecorder:
-    """One recorder, one bundle; re-arm a fresh instance per run."""
+    """One recorder, one bundle: the first one kept wins."""
 
     def __init__(self, out: str | None = None, *,
                  last_n: int = DEFAULT_LAST_N) -> None:
@@ -69,8 +73,7 @@ class FlightRecorder:
         """Attach to a kernel (``kernel.flight``) and remember run facts."""
         self.kernel = kernel
         self.seed = seed
-        self.plan = plan if plan is not None else getattr(
-            getattr(kernel, "faults", None), "plan", None)
+        self.plan = plan
         self.context = dict(context or {})
         kernel.flight = self
         return self
@@ -78,58 +81,73 @@ class FlightRecorder:
     # -- dumping ------------------------------------------------------------
 
     def dump(self, reason: str, **info: Any) -> dict[str, Any]:
-        """Build (and write, first trigger only) the post-mortem bundle."""
+        """Build the post-mortem bundle (first trigger only) and
+        :meth:`keep` it."""
+        if self.bundle is None and self.kernel is None:
+            raise ValueError("flight recorder not armed")
+        return self.keep(self.bundle or build_bundle(
+            self.kernel, reason, info, seed=self.seed, plan=self.plan,
+            context=self.context, last_n=self.last_n))
+
+    def keep(self, bundle: dict[str, Any]) -> dict[str, Any]:
+        """First wins: the first bundle kept is written to ``out``;
+        later ones are only counted in ``suppressed``."""
         if self.bundle is not None:
             self.suppressed += 1
             return self.bundle
-        self.bundle = self._build(reason, info)
+        self.bundle = bundle
         if self.out:
-            write_bundle(self.bundle, self.out)
-        return self.bundle
+            write_bundle(bundle, self.out)
+        return bundle
 
-    def _build(self, reason: str, info: dict[str, Any]) -> dict[str, Any]:
-        k = self.kernel
-        if k is None:
-            raise ValueError("flight recorder not armed")
-        # Dump-time invariant sweep: read-only, and worth having even
-        # when the trigger was something else entirely.
-        from ..hwmgr.invariants import (
-            check_invariants,
-            check_lifecycle_invariants,
-        )
-        tail = list(k.tracer.events)[-self.last_n:]
-        plan = self.plan
-        fault_plan = None
-        if plan is not None:
-            fault_plan = {
-                "seed": plan.seed,
-                "sites": plan.summary(),
-                "specs": [{
-                    "site": s.site, "after": s.after,
-                    "max_fires": s.max_fires, "every": s.every,
-                    "probability": s.probability,
-                    "params": dict(s.params),
-                } for s in plan.specs],
-            }
-        k.acct.settle()
-        return {
-            "schema_version": FLIGHT_SCHEMA_VERSION,
-            "reason": reason,
-            "info": _jsonable(info),
-            "cycle": k.sim.now,
-            "seed": self.seed,
-            "trace_tail": [{"t": e.t, "name": e.name, "cat": e.cat,
-                            "info": _jsonable(e.info)} for e in tail],
-            "trace_dropped": k.tracer.events.dropped,
-            "metrics": MetricSnapshot.of(k.metrics).to_dict(),
-            "ledger": k.acct.snapshot(),
-            "fault_plan": fault_plan,
-            "invariants": {
-                "hardware": check_invariants(k),
-                "lifecycle": check_lifecycle_invariants(k),
-            },
-            "context": _jsonable(self.context),
+
+def build_bundle(k, reason: str, info: dict[str, Any], *,
+                 seed: int | None = None, plan=None,
+                 context: dict[str, Any] | None = None,
+                 last_n: int = DEFAULT_LAST_N) -> dict[str, Any]:
+    """The post-mortem bundle of kernel ``k`` right now.  ``plan``
+    defaults to the kernel's own fault plan, if it has one."""
+    # Dump-time invariant sweep: read-only, and worth having even when
+    # the trigger was something else entirely.
+    from ..hwmgr.invariants import (
+        check_invariants,
+        check_lifecycle_invariants,
+    )
+    if plan is None:
+        plan = getattr(getattr(k, "faults", None), "plan", None)
+    tail = list(k.tracer.events)[-last_n:]
+    fault_plan = None
+    if plan is not None:
+        fault_plan = {
+            "seed": plan.seed,
+            "sites": plan.summary(),
+            "specs": [{
+                "site": s.site, "after": s.after,
+                "max_fires": s.max_fires, "every": s.every,
+                "probability": s.probability,
+                "params": dict(s.params),
+            } for s in plan.specs],
         }
+    k.acct.settle()
+    return {
+        "schema_version": FLIGHT_SCHEMA_VERSION,
+        "reason": reason,
+        "info": _jsonable(info),
+        "cycle": k.sim.now,
+        "seed": seed,
+        "trace_tail": [{"t": e.t, "name": e.name, "cat": e.cat,
+                        "info": _jsonable(e.info)} for e in tail],
+        "trace_dropped": k.tracer.events.dropped,
+        "metrics": MetricSnapshot.of(k.metrics).to_dict(),
+        "ledger": k.acct.snapshot(),
+        "fault_plan": fault_plan,
+        # The board sweep (check_board), split into its two halves.
+        "invariants": {
+            "hardware": check_invariants(k),
+            "lifecycle": check_lifecycle_invariants(k),
+        },
+        "context": _jsonable(context or {}),
+    }
 
 
 def _jsonable(obj: Any) -> Any:

@@ -1,6 +1,6 @@
 """The soak violation path end to end: plant an invariant violation in
-the sweep each soak calls and pin the payload strings, the incident
-class and the exit code (docs/RECOVERY.md §10)."""
+the board sweep (``check_board``'s two halves) and pin the payload
+strings, the incident class and the exit code (docs/RECOVERY.md §10)."""
 
 import pytest
 
@@ -10,23 +10,24 @@ from repro.fleet.harness import run_fleet_soak
 
 HW = "I9: planted violation"
 LC = "L9: planted violation"
+I_HALF = "repro.hwmgr.invariants.check_invariants"
+L_HALF = "repro.hwmgr.invariants.check_lifecycle_invariants"
 
 CASES = {
-    # The manager soak sweeps the hardware invariants only.
+    # Both inline soaks run the whole board sweep: hardware, then
+    # lifecycle.
     "soak": (
-        {"repro.faults.soak.check_invariants": [HW]},
+        {I_HALF: [HW], L_HALF: [LC]},
         lambda: run_soak(seed=11, crashes=3, max_runs=2),
-        [HW, HW]),
-    # The VM soak adds the lifecycle sweep after the hardware one.
+        [HW, LC, HW, LC]),
     "vm-soak": (
-        {"repro.faults.soak.check_invariants": [HW],
-         "repro.faults.soak.check_lifecycle_invariants": [LC]},
+        {I_HALF: [HW], L_HALF: [LC]},
         lambda: run_vm_soak(seed=11, kills=3, max_runs=2),
         [HW, LC, HW, LC]),
     # The fleet soak tags each board sweep with its run and board; run 1
     # loses board 1 to its kill, so only board 0 is swept there.
     "fleet-soak": (
-        {"repro.fleet.board.check_invariants": [HW]},
+        {I_HALF: [HW]},
         lambda: run_fleet_soak(seed=2, board_kills=3, boards=2,
                                per_run_kills=1, max_runs=2, ticks=10),
         [f"run 0: board 0: {HW}", f"run 0: board 1: {HW}",

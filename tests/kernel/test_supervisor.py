@@ -81,3 +81,23 @@ def test_no_faults_means_no_supervisor_activity():
     assert k.supervisor.crashes == 0
     assert k.supervisor._deadline_ev is None
     assert k.metrics.total("supervisor.restarts") == 0
+
+
+def test_restart_sweeps_lifecycle_invariants_too(monkeypatch):
+    """The post-restart check is the whole board sweep (I1-I8 + L1-L6):
+    a lifecycle violation is counted and dumps the armed recorder."""
+    from repro.obs.flight import FlightRecorder
+
+    planted = "L9: planted violation"
+    monkeypatch.setattr("repro.hwmgr.invariants.check_lifecycle_invariants",
+                        lambda kernel: [planted])
+    sc = _scenario([FaultSpec(SERVICE_CRASH, after=1, max_fires=1)])
+    fr = FlightRecorder().arm(sc.kernel, seed=1)
+    sc.run_until_completions(3)
+    k = sc.kernel
+    assert k.supervisor.restarts == 1
+    assert k.metrics.total("supervisor.invariant_violations") == 1
+    assert fr.bundle["reason"] == "invariant_violation"
+    assert fr.bundle["info"] == {"where": "manager_restart",
+                                 "violations": [planted]}
+    assert fr.bundle["invariants"]["lifecycle"] == [planted]
