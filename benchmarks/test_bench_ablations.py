@@ -71,9 +71,8 @@ def test_bench_ablation_lazy_vfp(benchmark):
                                kernel_config=KernelConfig(lazy_vfp=lazy))
         sc.run_until_completions(9, max_ms=6000)
         hz = sc.machine.params.cpu.hz
-        ledger = sc.kernel.cpu.cycle_ledger
-        per_switch = (ledger.get("vm_switch", 0)
-                      / max(1, sc.kernel.vm_switch_count))
+        switches = sc.kernel.metrics.histogram("kernel.vm_switch_cycles")
+        per_switch = switches.sum / max(1, switches.count)
         results[lazy] = cycles_to_us(per_switch, hz)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info["lazy_switch_us"] = round(results[True], 3)

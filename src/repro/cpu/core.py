@@ -43,9 +43,6 @@ class Cpu:
         #: Vector table base (VBAR); kernel installs it at boot.
         self.vbar = 0
         self._mode_stack: list[tuple[Mode, bool]] = []
-        #: Cycles attributed per category, for the evaluation probes.
-        self.cycle_ledger: dict[str, int] = {}
-        self._ledger_key = "boot"
 
     # -- privilege ----------------------------------------------------------
 
@@ -59,16 +56,9 @@ class Cpu:
 
     # -- accounting ---------------------------------------------------------
 
-    def set_ledger(self, key: str) -> str:
-        """Route subsequent cycle charges to ``key``; returns previous key."""
-        prev, self._ledger_key = self._ledger_key, key
-        return prev
-
     def _charge(self, cycles: int) -> None:
         if cycles:
             self.sim.clock.advance(cycles)
-            self.cycle_ledger[self._ledger_key] = \
-                self.cycle_ledger.get(self._ledger_key, 0) + cycles
 
     # -- timed execution helpers ---------------------------------------------
 

@@ -13,10 +13,6 @@ import numpy as np
 QAM_ORDERS = (4, 16, 64)
 
 
-def _gray(n: int) -> int:
-    return n ^ (n >> 1)
-
-
 def constellation(order: int) -> np.ndarray:
     """Gray-mapped square constellation, unit average symbol energy.
 

@@ -157,11 +157,10 @@ def build_virtualized(n_guests: int, *, seed: int = 1,
 
 def build_native(*, seed: int = 1, use_irq: bool = True, verify: bool = False,
                  iterations: int | None = None, with_workloads: bool = True,
-                 task_set: tuple[str, ...] = DEFAULT_TASK_SET,
-                 machine_config: MachineConfig | None = None,
-                 tick_hz: int = 100) -> NativeScenario:
-    machine = Machine(machine_config)
-    os_ = Ucos("native", tick_hz=tick_hz)
+                 task_set: tuple[str, ...] = DEFAULT_TASK_SET
+                 ) -> NativeScenario:
+    machine = Machine()
+    os_ = Ucos("native", tick_hz=100)
     directory = task_directory(machine)
     setup = _populate_guest(os_, directory, seed=seed * 1000,
                             use_irq=use_irq, verify=verify,

@@ -39,12 +39,11 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..eval.scenarios import build_virtualized
-from ..guest.ports.paravirt import ParavirtUcos
 from ..guest.ucos import Ucos
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from .coverage import CoverageTracker, paths_fired
-from .matrix import _PRIO_AUX, _make_fallback_task
+from .matrix import _make_fallback_task
 from .plan import (
     BITSTREAM_CORRUPT,
     BOARD_CRASH,
@@ -67,8 +66,7 @@ from .plan import (
     FaultSpec,
 )
 from .registry import CRASHPOINTS
-from .rogue import RogueStats, WildRunner, make_bad_hypercall_task, \
-    make_wild_dma_task
+from .rogue import AUX_TASK_PRIO, add_rogue_vms
 from .soak import classify_incident, sweep
 
 EXPLORE_SCHEMA_VERSION = 1
@@ -161,29 +159,18 @@ def run_inline_schedule(faults, *, seed: int, mutate: str | None = None,
     if mutate is not None:
         MUTATIONS[mutate](sc)
     kernel = sc.kernel
-    if GUEST_BAD_HYPERCALL in sites:
-        os_fuzz = Ucos("rogue-hc", tick_hz=100)
-        os_fuzz.create_task("fuzz", _PRIO_AUX, make_bad_hypercall_task(
-            stats=RogueStats(), seed=seed, iterations=40,
-            injector=sc.injector))
-        kernel.create_vm(os_fuzz.name, ParavirtUcos(os_fuzz))
-    if GUEST_WILD_POINTER in sites:
-        os_dma = Ucos("rogue-dma", tick_hz=100)
-        os_dma.create_task("wild-dma", _PRIO_AUX, make_wild_dma_task(
-            sc.directory, stats=RogueStats(), injector=sc.injector))
-        kernel.create_vm(os_dma.name, ParavirtUcos(os_dma))
-        kernel.create_vm("rogue-ptr", WildRunner())
+    add_rogue_vms(sc, sites, seed=seed, fuzz_iterations=40)
     if any(s.site == SERVICE_CRASH
            and (s.params or {}).get("point") == "release.pre_commit"
            for s in specs):
         sc.guests[0].os.create_task(
-            "releaser", _PRIO_AUX, _make_release_task(sc.directory))
+            "releaser", AUX_TASK_PRIO, _make_release_task(sc.directory))
     fallback: dict[str, Any] = {}
     if persistent:
         # The fabric is permanently down: progress means the adaptive
         # APIs degrade to correct software (pcap_abort + sw_fallback).
         sc.guests[0].os.create_task(
-            "fallback", _PRIO_AUX,
+            "fallback", AUX_TASK_PRIO,
             _make_fallback_task(sc.directory, fallback, seed=seed))
         sc.run_ms(220.0)
     else:

@@ -24,7 +24,6 @@ from ..dsp import fft as fft_golden
 from ..dsp import qam as qam_golden
 from ..guest import api
 from ..guest.actions import Finish
-from ..guest.ports.paravirt import ParavirtUcos
 from ..guest.ucos import Ucos
 from ..eval.scenarios import build_virtualized
 from ..kernel.hypercalls import HcStatus
@@ -41,11 +40,7 @@ from .plan import (
     PRR_SPURIOUS_DONE,
     UNLIMITED,
 )
-from .rogue import RogueStats, WildRunner, make_bad_hypercall_task, \
-    make_wild_dma_task
-
-#: Priority for matrix-specific guest tasks (below T_hw's 5).
-_PRIO_AUX = 6
+from .rogue import AUX_TASK_PRIO, add_rogue_vms
 
 #: What a scenario returns: its scenario object, its named checks, and
 #: its extra result fields.
@@ -225,7 +220,7 @@ def scenario_sw_fallback(seed: int = 1, *, extra_specs=()) -> Outcome:
                            iterations=0, fault_plan=plan)
     results: dict[str, Any] = {}
     sc.guests[0].os.create_task(
-        "fallback", _PRIO_AUX,
+        "fallback", AUX_TASK_PRIO,
         _make_fallback_task(sc.directory, results, seed=seed))
     sc.run_ms(200.0)
     c = _fault_counters(sc.kernel)
@@ -257,39 +252,25 @@ def scenario_rogue_guest(seed: int = 1, *, extra_specs=()) -> Outcome:
     sc = build_virtualized(1, seed=seed, verify=True, with_workloads=False,
                            iterations=3, task_set=("fft256",),
                            fault_plan=plan)
-    kernel = sc.kernel
-
-    hc_stats = RogueStats()
-    os_fuzz = Ucos("rogue-hc", tick_hz=100)
-    os_fuzz.create_task("fuzz", _PRIO_AUX, make_bad_hypercall_task(
-        stats=hc_stats, seed=seed, iterations=30, injector=sc.injector))
-    kernel.create_vm(os_fuzz.name, ParavirtUcos(os_fuzz))
-
-    dma_stats = RogueStats()
-    os_dma = Ucos("rogue-dma", tick_hz=100)
-    os_dma.create_task("wild-dma", _PRIO_AUX, make_wild_dma_task(
-        sc.directory, stats=dma_stats, injector=sc.injector))
-    kernel.create_vm(os_dma.name, ParavirtUcos(os_dma))
-
-    wild = WildRunner()
-    wild_pd = kernel.create_vm("rogue-ptr", wild)
+    rogue = add_rogue_vms(sc, (GUEST_BAD_HYPERCALL, GUEST_WILD_POINTER),
+                          seed=seed, fuzz_iterations=30)
 
     sc.run_ms(200.0)
     c = _fault_counters(sc.kernel)
     t = _thw(sc)
     from ..kernel.pd import PdState
     checks = {
-        "fuzzer_drained": hc_stats.issued == 30,
-        "wild_vm_killed": wild_pd.state is PdState.DEAD
+        "fuzzer_drained": rogue.fuzzer.issued == 30,
+        "wild_vm_killed": rogue.wild_pd.state is PdState.DEAD
         and c["vm_kills"] == 1,
-        "dma_blocked": dma_stats.by_status.get("bounds_blocked") == 1,
+        "dma_blocked": rogue.dma.by_status.get("bounds_blocked") == 1,
         "healthy_guest_ok": t["completions"] >= 3 and t["verified_bad"] == 0,
         "injections_counted": c["fault_injected"] >= 31,
     }
     return sc, checks, {"thw": t,
-                        "fuzzer": {"issued": hc_stats.issued,
+                        "fuzzer": {"issued": rogue.fuzzer.issued,
                                    "by_status": dict(sorted(
-                                       hc_stats.by_status.items()))}}
+                                       rogue.fuzzer.by_status.items()))}}
 
 
 #: The catalog, in documentation order.

@@ -16,6 +16,9 @@ Three flavours, matching the ``guest.*`` fault sites:
   data-aborts on a wild address.  The kernel's containment policy kills
   the VM (``vm_killed``) while every other VM keeps running.
 
+:func:`add_rogue_vms` boots the rogue VMs for whichever ``guest.*`` sites
+a scenario arms (the fault matrix and the explorer both use it).
+
 All fuzz randomness flows through :func:`repro.common.rng.make_rng`, so a
 rogue run is as deterministic as any other scenario.
 """
@@ -38,6 +41,7 @@ from ..fpga.prr import (
 from ..guest import api
 from ..guest import layout_guest as GL
 from ..guest.actions import Delay, Finish, HwRequest, MmioRead, MmioWrite
+from ..guest.ports.paravirt import ParavirtUcos
 from ..guest.ucos import Ucos
 from ..kernel.exits import ExitFault
 from ..kernel.hypercalls import Hc, HcStatus, is_error
@@ -53,6 +57,9 @@ FUZZ_HC_NUMBERS = tuple(int(h) for h in Hc if h is not Hc.VM_SUSPEND) + (
 #: addresses, page-misaligned pointers, and boundary integers.
 FUZZ_ARG_VALUES = (-(2 ** 31), -1, 0, 1, 0xFFF, 0x1001, 0xDEAD_BEEF,
                    0x7FFF_FFFF, 0xFFFF_FFFF, 2 ** 40)
+
+#: Priority for auxiliary guest tasks in fault scenarios (below T_hw's 5).
+AUX_TASK_PRIO = 6
 
 
 @dataclass
@@ -156,15 +163,17 @@ class WildRunner:
     """A domain runner that dereferences a wild pointer and has no fault
     handler — the canonical victim of the kernel's containment policy.
 
-    Runs ``warmup_steps`` normal compute chunks first (so the kill happens
+    Runs ``WARMUP_STEPS`` normal compute chunks first (so the kill happens
     mid-run, not at boot), then data-aborts on every subsequent step.
     """
 
-    def __init__(self, *, wild_addr: int = 0xBAD0_0000,
-                 warmup_steps: int = 2, chunk_instr: int = 20_000) -> None:
-        self.wild_addr = wild_addr
-        self.warmup_steps = warmup_steps
-        self.chunk_instr = chunk_instr
+    #: The address every post-warmup step data-aborts on.
+    WILD_ADDR = 0xBAD0_0000
+    #: Normal compute chunks run before the first abort, and their size.
+    WARMUP_STEPS = 2
+    CHUNK_INSTR = 20_000
+
+    def __init__(self) -> None:
         self.steps = 0
         self.kernel = None
         self.pd = None
@@ -174,10 +183,10 @@ class WildRunner:
 
     def step(self, budget: int):
         self.steps += 1
-        if self.steps <= self.warmup_steps:
-            self.kernel.cpu.instr(self.chunk_instr)
+        if self.steps <= self.WARMUP_STEPS:
+            self.kernel.cpu.instr(self.CHUNK_INSTR)
             return None
-        return ExitFault(DataAbort(self.wild_addr, "wild guest pointer"))
+        return ExitFault(DataAbort(self.WILD_ADDR, "wild guest pointer"))
 
     def deliver_virq(self, irq_id: int) -> None:
         pass
@@ -186,3 +195,36 @@ class WildRunner:
         pass
 
     # NB: no deliver_fault — the kernel kills this VM on the first abort.
+
+
+@dataclass
+class RogueVms:
+    """What :func:`add_rogue_vms` booted (None where a site was not armed)."""
+
+    fuzzer: RogueStats | None = None
+    dma: RogueStats | None = None
+    wild_pd: object | None = None
+
+
+def add_rogue_vms(sc, sites, *, seed: int, fuzz_iterations: int) -> RogueVms:
+    """Boot one rogue VM per armed ``guest.*`` site of virtualized
+    scenario ``sc``, in this order: the hypercall fuzzer
+    (``guest.bad_hypercall``), then the wild-DMA client and the
+    wild-pointer VM (``guest.wild_pointer``)."""
+    out = RogueVms()
+    kernel = sc.kernel
+    if GUEST_BAD_HYPERCALL in sites:
+        out.fuzzer = RogueStats()
+        os_fuzz = Ucos("rogue-hc", tick_hz=100)
+        os_fuzz.create_task("fuzz", AUX_TASK_PRIO, make_bad_hypercall_task(
+            stats=out.fuzzer, seed=seed, iterations=fuzz_iterations,
+            injector=sc.injector))
+        kernel.create_vm(os_fuzz.name, ParavirtUcos(os_fuzz))
+    if GUEST_WILD_POINTER in sites:
+        out.dma = RogueStats()
+        os_dma = Ucos("rogue-dma", tick_hz=100)
+        os_dma.create_task("wild-dma", AUX_TASK_PRIO, make_wild_dma_task(
+            sc.directory, stats=out.dma, injector=sc.injector))
+        kernel.create_vm(os_dma.name, ParavirtUcos(os_dma))
+        out.wild_pd = kernel.create_vm("rogue-ptr", WildRunner())
+    return out

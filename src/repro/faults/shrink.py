@@ -36,8 +36,8 @@ def _fails(result: dict[str, Any]) -> bool:
 
 
 def shrink_schedule(faults, *,
-                    runner: Callable[[tuple], dict[str, Any]],
-                    revalidations: int = 2) -> dict[str, Any]:
+                    runner: Callable[[tuple], dict[str, Any]]
+                    ) -> dict[str, Any]:
     """Reduce ``faults`` (a tuple of JSON-stable fault dicts) to a
     minimal still-failing schedule; see the module docstring."""
     cur = tuple(dict(f) for f in faults)
@@ -82,11 +82,11 @@ def shrink_schedule(faults, *,
                 f = cand_f
 
     # 3. Re-validate: the minimal schedule must fail byte-identically
-    #    ``revalidations`` times over.
+    #    twice over.
     fingerprints: list[str] = []
     final: dict[str, Any] = {}
     still_failing = True
-    for _ in range(max(2, revalidations)):
+    for _ in range(2):
         runs += 1
         final = runner(cur)
         fingerprints.append(result_fingerprint(final))

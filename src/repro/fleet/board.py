@@ -36,9 +36,11 @@ from ..obs.aggregate import MetricSnapshot
 from ..obs.flight import build_bundle
 from .tenant import TenantSpec, make_service_task
 
-#: Default task library installed on every fleet board (small: board
+#: Task library installed on every fleet board (small: board
 #: construction is the dominant cost of a many-board run).
-DEFAULT_BOARD_TASKS = ("fft256", "qam16")
+BOARD_TASKS = ("fft256", "qam16")
+#: Guest OS tick rate of every tenant VM on a fleet board.
+BOARD_TICK_HZ = 100
 
 
 def encode_checkpoint(ckpt: VmCheckpoint) -> dict[str, Any]:
@@ -55,13 +57,10 @@ def decode_checkpoint(d: dict[str, Any]) -> VmCheckpoint:
 class BoardServer:
     """One board's operation endpoint.  All ops take/return plain data."""
 
-    def __init__(self, board_id: int, *, seed: int = 1,
-                 tasks: tuple[str, ...] = DEFAULT_BOARD_TASKS,
-                 tick_hz: int = 100) -> None:
+    def __init__(self, board_id: int, *, seed: int = 1) -> None:
         self.board_id = board_id
         self.seed = seed
-        self.tick_hz = tick_hz
-        self.machine = Machine(MachineConfig(tasks=tuple(tasks)))
+        self.machine = Machine(MachineConfig(tasks=BOARD_TASKS))
         self.kernel = MiniNova(self.machine)
         self.kernel.boot()
         self.kernel.attach_manager(ManagerService())
@@ -73,7 +72,7 @@ class BoardServer:
     # -- placement ---------------------------------------------------------
 
     def _build_vm(self, spec: TenantSpec, *, runnable: bool):
-        os_ = Ucos(spec.name, tick_hz=self.tick_hz)
+        os_ = Ucos(spec.name, tick_hz=BOARD_TICK_HZ)
         os_.create_task(f"svc-{spec.kind}", 5, make_service_task(spec))
         pd = self.kernel.create_vm(os_.name, ParavirtUcos(os_),
                                    runnable=runnable)

@@ -40,6 +40,7 @@ from ..faults.plan import (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION,
                            RETRY_STORM, TRAFFIC_SURGE, UNLIMITED,
                            FaultPlan, FaultSpec)
 from ..obs.metrics import MetricsRegistry
+from .board import BOARD_TASKS, BOARD_TICK_HZ
 from .detector import DEFAULT_DEADLINE_TICKS, FailureDetector
 from .invariants import check_fleet_invariants
 from .overload import (DEFAULT_SURGE_DURATION_TICKS, DEFAULT_SURGE_FACTOR,
@@ -49,7 +50,7 @@ from .overload import (DEFAULT_SURGE_DURATION_TICKS, DEFAULT_SURGE_FACTOR,
 from .rpc import BoardLink, BoardUnreachable
 from .tenant import (BESTEFFORT, CRITICAL, DEAD, MIGRATING, RUNNING, SHED,
                      TenantRecord, TenantSpec)
-from .traffic import TrafficModel
+from .traffic import BURST_FACTOR, BURST_PERIOD_TICKS, TrafficModel
 from .workers import HOST_KINDS
 
 #: Sites applied to one board's link (``retry.storm`` included: the
@@ -90,15 +91,11 @@ class FleetConfig:
     seed: int = 1
     ticks: int = 32
     tick_ms: float = 2.0
-    tick_hz: int = 100
-    tasks: tuple[str, ...] = ("fft256", "qam16")
     deadline_ticks: int = DEFAULT_DEADLINE_TICKS
     checkpoint_every_ticks: int = 4
     max_tenants_per_board: int = 4
     workers: str = "inline"             # "inline" | "process"
     rate_per_tick: float = 0.1
-    burst_period_ticks: int = 16
-    burst_factor: float = 2.0
     #: The overload control plane (docs/FLEET.md §11); None keeps every
     #: legacy run byte-identical — no admission, budgets or breakers.
     overload: OverloadConfig | None = None
@@ -116,8 +113,6 @@ class FleetConfig:
                  f"{self.tenants_per_board}")
         _require(self.ticks >= 0, f"ticks must be >= 0, got {self.ticks}")
         _require(self.tick_ms > 0, f"tick_ms must be > 0, got {self.tick_ms}")
-        _require(self.tick_hz >= 1, f"tick_hz must be >= 1, got "
-                 f"{self.tick_hz}")
         _require(self.deadline_ticks > 0,
                  f"deadline_ticks must be > 0, got {self.deadline_ticks}")
         _require(self.checkpoint_every_ticks >= 0,
@@ -131,25 +126,20 @@ class FleetConfig:
                  f"(valid: {', '.join(HOST_KINDS)})")
         _require(self.rate_per_tick >= 0,
                  f"rate_per_tick must be >= 0, got {self.rate_per_tick}")
-        _require(self.burst_period_ticks >= 1,
-                 f"burst_period_ticks must be >= 1, got "
-                 f"{self.burst_period_ticks}")
-        _require(self.burst_factor >= 0,
-                 f"burst_factor must be >= 0, got {self.burst_factor}")
 
     def as_dict(self) -> dict[str, Any]:
         return {"boards": self.boards,
                 "tenants_per_board": self.tenants_per_board,
                 "seed": self.seed, "ticks": self.ticks,
-                "tick_ms": self.tick_ms, "tick_hz": self.tick_hz,
-                "tasks": list(self.tasks),
+                "tick_ms": self.tick_ms, "tick_hz": BOARD_TICK_HZ,
+                "tasks": list(BOARD_TASKS),
                 "deadline_ticks": self.deadline_ticks,
                 "checkpoint_every_ticks": self.checkpoint_every_ticks,
                 "max_tenants_per_board": self.max_tenants_per_board,
                 "workers": self.workers,
                 "rate_per_tick": self.rate_per_tick,
-                "burst_period_ticks": self.burst_period_ticks,
-                "burst_factor": self.burst_factor,
+                "burst_period_ticks": BURST_PERIOD_TICKS,
+                "burst_factor": BURST_FACTOR,
                 "overload": (None if self.overload is None
                              else self.overload.as_dict())}
 
@@ -191,8 +181,7 @@ class Dispatcher:
                              floor=cfg.overload.retry_floor))
         host_cls = HOST_KINDS[cfg.workers]
         self.links = [
-            BoardLink(b, host_cls(b, seed=cfg.seed * 1000 + b,
-                                  tasks=cfg.tasks, tick_hz=cfg.tick_hz),
+            BoardLink(b, host_cls(b, seed=cfg.seed * 1000 + b),
                       self.metrics,
                       breaker=(None if cfg.overload is None else
                                CircuitBreaker(
@@ -208,9 +197,7 @@ class Dispatcher:
             s.name: TenantRecord(spec=s) for s in specs}
         self.traffic = TrafficModel(
             [s.name for s in specs], seed=cfg.seed,
-            rate_per_tick=cfg.rate_per_tick,
-            burst_period_ticks=cfg.burst_period_ticks,
-            burst_factor=cfg.burst_factor)
+            rate_per_tick=cfg.rate_per_tick)
         if cfg.overload is None:
             self.admission = None
             self.shedder = None

@@ -35,18 +35,15 @@ from .dispatcher import Dispatcher, FleetConfig, KillSpec
 from .overload import OverloadConfig
 from .tenant import BESTEFFORT, CRITICAL, DEAD, RUNNING, SHED, TenantSpec
 
-_SITE_BY_MODE = {"crash": BOARD_CRASH, "hang": BOARD_HANG,
-                 "partition": BOARD_PARTITION}
+#: The board faults a kill schedule draws from, in draw-index order.
+_KILL_SITES = (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION)
 
 #: Payload schema for fleet runs/soaks (independent of the bench schema).
 FLEET_SCHEMA_VERSION = 1
 
 
 def make_kill_schedule(cfg: FleetConfig, *, kills: int,
-                       seed: int | None = None,
-                       modes: tuple[str, ...] = ("crash", "hang",
-                                                 "partition")
-                       ) -> tuple[KillSpec, ...]:
+                       seed: int | None = None) -> tuple[KillSpec, ...]:
     """A seeded board-fault schedule: ``kills`` candidate events, fixed
     draw count each, spread over the run's middle ticks."""
     rng = make_rng(cfg.seed if seed is None else seed, stream="fleet-kills")
@@ -55,16 +52,14 @@ def make_kill_schedule(cfg: FleetConfig, *, kills: int,
     for _ in range(kills):
         tick = int(rng.integers(1, hi))
         board = int(rng.integers(0, cfg.boards))
-        mode = modes[int(rng.integers(0, len(modes)))]
+        site = _KILL_SITES[int(rng.integers(0, len(_KILL_SITES)))]
         duration = 1 + int(rng.integers(0, cfg.deadline_ticks + 2))
-        out.append(KillSpec(tick=tick, board=board,
-                            site=_SITE_BY_MODE[mode],
+        out.append(KillSpec(tick=tick, board=board, site=site,
                             duration_ticks=duration))
     return tuple(sorted(out, key=lambda k: (k.tick, k.board, k.site)))
 
 
 def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
-              tenants: list[TenantSpec] | None = None,
               stream=None, flight_path: str | None = None) -> dict[str, Any]:
     """One fleet run; returns the JSON-stable payload.
 
@@ -73,20 +68,19 @@ def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
     ``aggregate`` view (the PR 8 merge law).  ``flight_path`` writes the
     run's invariant-violation bundle, if any.
     """
-    return _run_fleet(cfg, kills=kills, tenants=tenants, stream=stream,
+    return _run_fleet(cfg, kills=kills, stream=stream,
                       flight=(FlightRecorder(flight_path) if flight_path
                               else None))[0]
 
 
 def _run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
-               tenants: list[TenantSpec] | None = None, stream=None,
-               flight: FlightRecorder | None = None
+               stream=None, flight: FlightRecorder | None = None
                ) -> tuple[dict[str, Any], MetricSnapshot]:
     """:func:`run_fleet` for harnesses that run many: returns the
     payload and the merged registry snapshot, and hands the bundle a
     board built on a fleet invariant violation to ``flight`` (the
     caller's one recorder, which keeps the first)."""
-    disp = Dispatcher(cfg, tenants=tenants, kills=kills)
+    disp = Dispatcher(cfg, kills=kills)
     try:
         disp.place_initial()
         for t in range(cfg.ticks):
@@ -271,13 +265,11 @@ EXPLORE_OVERLOAD = OverloadConfig(
 
 
 def run_fleet_schedule(kills: tuple[KillSpec, ...], *, seed: int,
-                       boards: int = 3, ticks: int = 24,
-                       tenants_per_board: int = 2,
-                       workers: str = "inline",
                        flight: FlightRecorder | None = None
                        ) -> dict[str, Any]:
     """Execute exactly one fleet-fault schedule against a small fleet
-    and return the JSON-stable :func:`run_fleet` payload.
+    (3 inline boards, 2 tenants each, 24 ticks) and return the
+    JSON-stable :func:`run_fleet` payload.
 
     This is the :mod:`repro.faults.explore` entry point: the explorer
     hands it a candidate ``kills`` tuple and fingerprints the payload's
@@ -287,8 +279,7 @@ def run_fleet_schedule(kills: tuple[KillSpec, ...], *, seed: int,
     ``retry.storm`` have recovery paths to hit.  A board's
     invariant-violation bundle goes to ``flight``.
     """
-    cfg = FleetConfig(boards=boards, seed=seed, ticks=ticks,
-                      tenants_per_board=tenants_per_board, workers=workers,
+    cfg = FleetConfig(boards=3, seed=seed, ticks=24,
                       overload=EXPLORE_OVERLOAD)
     return _run_fleet(cfg, kills=tuple(sorted(
         kills, key=lambda k: (k.tick, k.board, k.site))), flight=flight)[0]
@@ -347,12 +338,13 @@ def run_fleet_soak(*, seed: int = 1, board_kills: int = 100,
 # -- migration proof ----------------------------------------------------------
 
 
-def run_migration_demo(*, seed: int = 7, kind: str = "fft",
-                       frames: int = 6,
+def run_migration_demo(*, seed: int = 7,
                        workers: str = "inline") -> dict[str, Any]:
-    """Kill a restartable tenant's board mid-run; it must finish on the
-    surviving board with bit-exact output (docs/FLEET.md §7)."""
+    """Kill a restartable 6-frame FFT tenant's board mid-run; it must
+    finish on the surviving board with bit-exact output (docs/FLEET.md
+    §7)."""
     from ..workloads.restartable import expected_output
+    kind, frames = "fft", 6
     spec = TenantSpec(name="demo", tclass=CRITICAL, kind=kind,
                       seed=seed, frames=frames, checkpoint_every=2)
     cfg = FleetConfig(boards=2, tenants_per_board=1, seed=seed,
@@ -480,6 +472,13 @@ SOAK_OVERLOAD = OverloadConfig(
 #: payload carries a *series* of best-effort goodput fractions that must
 #: degrade progressively while critical p99 stays within slack.
 SURGE_FACTORS = (4.0, 8.0, 16.0)
+#: The surge soak's fleet: 3 inline boards, 2 tenants each, 96 ticks.
+SURGE_BOARDS = 3
+SURGE_TICKS = 96
+#: Gates: loaded critical p99 at most this multiple of the baseline's,
+#: and loaded critical goodput ratio at least this fraction of it.
+SURGE_P99_SLACK = 1.10
+SURGE_GOODPUT_FLOOR = 0.55
 
 
 def _class_totals(payload: dict[str, Any]) -> dict[str, dict[str, int]]:
@@ -497,11 +496,7 @@ def _class_totals(payload: dict[str, Any]) -> dict[str, dict[str, int]]:
     return out
 
 
-def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
-                   tenants_per_board: int = 2,
-                   surge_factors: tuple[float, ...] = SURGE_FACTORS,
-                   workers: str = "inline",
-                   p99_slack: float = 1.10, goodput_floor: float = 0.55,
+def run_surge_soak(*, seed: int = 1, workers: str = "inline",
                    stream=None,
                    flight_path: str | None = None) -> dict[str, Any]:
     """Overload chaos soak: seeded surges + a retry storm + a board kill.
@@ -510,11 +505,12 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
 
     * **Baseline** — the same fleet, overload plane armed, no faults:
       yields the unloaded critical p99 and best-effort goodput fraction.
-    * **Loaded** — one run per factor in ``surge_factors``, each with a
-      ``traffic.surge`` window, a transient ``retry.storm`` on board 1
-      and a ``board.crash`` on board 2.  Gates: zero F1-F6/O1-O5
-      violations, critical p99 within ``p99_slack`` of baseline,
-      critical goodput/admitted at least ``goodput_floor`` times the
+    * **Loaded** — one run per factor in :data:`SURGE_FACTORS`, each
+      with a ``traffic.surge`` window, a transient ``retry.storm`` on
+      board 1 and a ``board.crash`` on board 2.  Gates: zero F1-F6/O1-O5
+      violations, critical p99 within :data:`SURGE_P99_SLACK` of
+      baseline, critical goodput/admitted at least
+      :data:`SURGE_GOODPUT_FLOOR` times the
       *baseline* ratio (criticals keep their goodput under overload;
       the shared :func:`~repro.obs.slo.evaluate_rate_floor`
       predicate), and the
@@ -535,10 +531,9 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
 
     def one_run(overload: OverloadConfig,
                 kills: tuple[KillSpec, ...]) -> dict[str, Any]:
-        return _run_fleet(FleetConfig(boards=boards,
-                                      tenants_per_board=tenants_per_board,
-                                      seed=seed, ticks=ticks,
-                                      workers=workers, overload=overload),
+        return _run_fleet(FleetConfig(boards=SURGE_BOARDS, seed=seed,
+                                      ticks=SURGE_TICKS, workers=workers,
+                                      overload=overload),
                           kills=kills, stream=stream, flight=flight)[0]
 
     def be_fraction(cls: dict[str, dict[str, int]]) -> float | None:
@@ -557,8 +552,8 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
     # The floor the loaded runs must hold: a fraction of the baseline's
     # own goodput ratio, not an absolute — the absolute ratio is pinned
     # by deadline-vs-frame-period geometry, identical in every run.
-    crit_floor = (round(goodput_floor * base_crit_ratio, 6)
-                  if base_crit_ratio is not None else goodput_floor)
+    crit_floor = (round(SURGE_GOODPUT_FLOOR * base_crit_ratio, 6)
+                  if base_crit_ratio is not None else SURGE_GOODPUT_FLOOR)
     all_violations = [f"baseline: {v}" for v in payload_violations(base)]
 
     # Phase B: escalating surges, each with a storm and a board kill.
@@ -571,7 +566,7 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
     be_fracs: list[float] = []
     worst_p99: float | None = None
     worst_crit_ratio: float | None = None
-    for factor in surge_factors:
+    for factor in SURGE_FACTORS:
         payload = one_run(SOAK_OVERLOAD.scaled_surge(factor), kills)
         cls = _class_totals(payload)
         p99 = payload["requests"]["latency"][CRITICAL].get("p99")
@@ -643,13 +638,13 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
     slo = {
         "critical_p99": {
             "baseline": base_p99, "worst": worst_p99,
-            "slack": p99_slack,
+            "slack": SURGE_P99_SLACK,
             "ok": (base_p99 is not None and worst_p99 is not None
-                   and worst_p99 <= p99_slack * base_p99),
+                   and worst_p99 <= SURGE_P99_SLACK * base_p99),
         },
         "critical_goodput_floor": {
             "baseline_ratio": base_crit_ratio,
-            "relative_floor": goodput_floor,
+            "relative_floor": SURGE_GOODPUT_FLOOR,
             "min_ratio": crit_floor, "worst": worst_crit_ratio,
             "ok": (worst_crit_ratio is not None
                    and worst_crit_ratio >= crit_floor),
@@ -662,11 +657,11 @@ def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
     return {
         "schema_version": FLEET_SCHEMA_VERSION,
         "seed": seed,
-        "boards": boards,
-        "ticks": ticks,
+        "boards": SURGE_BOARDS,
+        "ticks": SURGE_TICKS,
         "workers": workers,
         "overload": SOAK_OVERLOAD.as_dict(),
-        "surge_factors": list(surge_factors),
+        "surge_factors": list(SURGE_FACTORS),
         "baseline": {
             "critical": base_cls[CRITICAL],
             "besteffort": base_cls[BESTEFFORT],

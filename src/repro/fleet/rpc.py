@@ -152,7 +152,7 @@ class BoardLink:
 
     # -- calls -------------------------------------------------------------
 
-    def call(self, op: str, *args: Any, retries: int = RETRY_LIMIT) -> Any:
+    def call(self, op: str, *args: Any) -> Any:
         """One logical RPC: bounded attempts with exponential backoff."""
         if self.fenced:
             # Fenced boards must never be contacted; this is accounted as
@@ -169,7 +169,7 @@ class BoardLink:
             self.retry_budget.note_fresh()
         last_reason = "unknown"
         attempt = 0
-        while attempt < retries:
+        while attempt < RETRY_LIMIT:
             self.m.counter("fleet.rpc.calls").inc()
             reason = self._unreachable_reason()
             if reason is None:
@@ -190,7 +190,7 @@ class BoardLink:
                 self.m.counter("fleet.rpc.backoff_cycles").inc(
                     DEADLINE_CYCLES)
             attempt += 1
-            if attempt >= retries:
+            if attempt >= RETRY_LIMIT:
                 break
             if self.retry_budget is not None \
                     and not self.retry_budget.try_retry():

@@ -16,14 +16,19 @@ from __future__ import annotations
 
 from ..common.rng import make_rng
 
+#: Diurnal square wave every fleet run uses: offered load is multiplied
+#: by ``BURST_FACTOR`` during every other ``BURST_PERIOD_TICKS`` ticks.
+BURST_PERIOD_TICKS = 16
+BURST_FACTOR = 2.0
+
 
 class TrafficModel:
     """Per-tenant open-loop arrival generator."""
 
     def __init__(self, tenant_names, *, seed: int,
                  rate_per_tick: float = 1.0,
-                 burst_period_ticks: int = 16,
-                 burst_factor: float = 2.0,
+                 burst_period_ticks: int = BURST_PERIOD_TICKS,
+                 burst_factor: float = BURST_FACTOR,
                  surges=()) -> None:
         if rate_per_tick < 0:
             raise ValueError(f"rate_per_tick must be >= 0: {rate_per_tick}")

@@ -33,10 +33,8 @@ class InlineHost:
 
     kind = "inline"
 
-    def __init__(self, board_id: int, *, seed: int, tasks: tuple[str, ...],
-                 tick_hz: int = 100) -> None:
-        self._server: BoardServer | None = BoardServer(
-            board_id, seed=seed, tasks=tasks, tick_hz=tick_hz)
+    def __init__(self, board_id: int, *, seed: int) -> None:
+        self._server: BoardServer | None = BoardServer(board_id, seed=seed)
 
     def call(self, op: str, *args: Any) -> Any:
         if self._server is None:
@@ -51,9 +49,9 @@ class InlineHost:
         self._server = None
 
 
-def _worker_main(conn, board_id: int, seed: int, tasks: tuple[str, ...],
-                 tick_hz: int) -> None:  # pragma: no cover - child process
-    server = BoardServer(board_id, seed=seed, tasks=tasks, tick_hz=tick_hz)
+def _worker_main(conn, board_id: int,
+                 seed: int) -> None:  # pragma: no cover - child process
+    server = BoardServer(board_id, seed=seed)
     while True:
         try:
             op, args = conn.recv()
@@ -73,14 +71,13 @@ class ProcessHost:
 
     kind = "process"
 
-    def __init__(self, board_id: int, *, seed: int, tasks: tuple[str, ...],
-                 tick_hz: int = 100) -> None:
+    def __init__(self, board_id: int, *, seed: int) -> None:
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
                              else "spawn")
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_worker_main,
-            args=(child, board_id, seed, tuple(tasks), tick_hz),
+            args=(child, board_id, seed),
             daemon=True)
         self._proc.start()
         child.close()

@@ -31,6 +31,7 @@ from ..kernel.hypercalls import HcStatus
 from . import layout_guest as GL
 from .actions import (
     BindIrqSem,
+    Compute,
     Delay,
     FAULTED,
     HwRequest,
@@ -66,8 +67,7 @@ class HwTaskHandle:
 
 
 def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
-                data_in: bytes, *, iface_va: int = GL.PRR_IFACE_VA,
-                sem: Semaphore | None = None,
+                data_in: bytes, *, sem: Semaphore | None = None,
                 max_retries: int = 8) -> Generator:
     """Request + execute one hardware task over ``data_in``.
 
@@ -81,7 +81,8 @@ def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
     handle = HwTaskHandle(status=HcStatus.BUSY)
 
     for attempt in range(max_retries):
-        res = yield HwRequest(task_id=task_table_id, iface_va=iface_va,
+        res = yield HwRequest(task_id=task_table_id,
+                              iface_va=GL.PRR_IFACE_VA,
                               data_va=GL.HWDATA_VA, want_irq=want_irq)
         status, prr_id, irq_id = res
         if status in (HcStatus.BUSY, HcStatus.MANAGER_RESTARTING):
@@ -95,7 +96,7 @@ def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
             return handle
         handle.prr_id, handle.irq_id = prr_id, irq_id
         handle.reconfigured = status == HcStatus.RECONFIG
-        iface = os.port.iface_addr(prr_id, iface_va)
+        iface = os.port.iface_addr(prr_id, GL.PRR_IFACE_VA)
 
         # Wait out a PCAP reconfiguration (stage 6: poll or PCAP IRQ —
         # polling REG_TASKID doubles as the completion signal).
@@ -261,11 +262,37 @@ def _brownout_reroute(os: Ucos, kind: str) -> bool:
     return True
 
 
+def _adaptive_compute(os: Ucos, task_table_id: int, task_name: str,
+                      data_in: bytes, *, kind: str, besteffort: bool,
+                      hw_retries: int, software) -> Generator:
+    """Fabric first, CPU fallback: the body both adaptive APIs share.
+
+    ``software()`` returns the fallback's ``(WorkProfile, output bytes)``;
+    it is only called once the fabric path has given up.
+    """
+    if besteffort and _brownout_reroute(os, kind):
+        # Brownout: the fabric is saturated, so best-effort work takes
+        # the software path immediately — same bytes, no PRR queueing.
+        handle = HwTaskHandle(status=HcStatus.BUSY)
+    else:
+        handle = yield from hw_task_run(os, task_table_id, task_name,
+                                        data_in, max_retries=hw_retries)
+    if handle.status == HcStatus.SUCCESS:
+        return handle
+
+    _note_sw_fallback(os, kind)
+    prof, output = software()
+    yield Compute(prof.instrs, prof.mem_accesses,
+                  ((GL.USER_BASE + 0x20000, prof.ws_bytes),),
+                  prof.write_frac)
+    handle.status = HcStatus.SUCCESS
+    handle.prr_id = None
+    handle.output = output
+    return handle
+
+
 def fft_compute(os: Ucos, task_table_id: int, task_name: str,
-                data_in: bytes, *, sem: Semaphore | None = None,
-                allow_software: bool = True,
-                besteffort: bool = False,
-                hw_retries: int = 2) -> Generator:
+                data_in: bytes, *, hw_retries: int = 2) -> Generator:
     """Adaptive FFT: try the fabric, fall back to the CPU when it is busy.
 
     This is the hardware/software co-execution the paper's introduction
@@ -278,68 +305,38 @@ def fft_compute(os: Ucos, task_table_id: int, task_name: str,
     """
     from ..dsp import fft as fft_golden
     from ..workloads.profiles import fft_sw_profile
-    from . import layout_guest as GL
-    from .actions import Compute
     import numpy as np
 
-    if besteffort and allow_software and _brownout_reroute(os, "fft"):
-        # Brownout: the fabric is saturated, so best-effort work takes
-        # the software path immediately — same bytes, no PRR queueing.
-        handle = HwTaskHandle(status=HcStatus.BUSY)
-    else:
-        handle = yield from hw_task_run(os, task_table_id, task_name,
-                                        data_in, sem=sem,
-                                        max_retries=hw_retries)
-    if handle.status == HcStatus.SUCCESS or not allow_software:
-        return handle
+    def software():
+        n = int(task_name[3:])
+        x = np.frombuffer(data_in, dtype=np.complex64)[:n]
+        return fft_sw_profile(n), fft_golden.fft(x).tobytes()
 
-    _note_sw_fallback(os, "fft")
-    n = int(task_name[3:])
-    prof = fft_sw_profile(n)
-    yield Compute(prof.instrs, prof.mem_accesses,
-                  ((GL.USER_BASE + 0x20000, prof.ws_bytes),),
-                  prof.write_frac)
-    x = np.frombuffer(data_in, dtype=np.complex64)[:n]
-    handle.status = HcStatus.SUCCESS
-    handle.prr_id = None
-    handle.output = fft_golden.fft(x).tobytes()
-    return handle
+    return (yield from _adaptive_compute(
+        os, task_table_id, task_name, data_in, kind="fft", besteffort=False,
+        hw_retries=hw_retries, software=software))
 
 
 def qam_compute(os: Ucos, task_table_id: int, task_name: str,
-                data_in: bytes, *, sem: Semaphore | None = None,
-                allow_software: bool = True,
-                besteffort: bool = False,
+                data_in: bytes, *, besteffort: bool = False,
                 hw_retries: int = 2) -> Generator:
     """Adaptive QAM modulation: fabric first, CPU fallback on HW failure.
 
     The software path is bit-compatible with the ``qamN`` IP core (both
     share the :mod:`repro.dsp.qam` golden model); its CPU cost is charged
     through :func:`repro.workloads.profiles.qam_sw_profile`.  ``prr_id``
-    is None on the software path, as for :func:`fft_compute`.
+    is None on the software path, as for :func:`fft_compute`.  A
+    ``besteffort`` caller skips the fabric while brownout is active.
     """
     from ..dsp import qam as qam_golden
     from ..workloads.profiles import qam_sw_profile
-    from . import layout_guest as GL
-    from .actions import Compute
 
-    if besteffort and allow_software and _brownout_reroute(os, "qam"):
-        handle = HwTaskHandle(status=HcStatus.BUSY)
-    else:
-        handle = yield from hw_task_run(os, task_table_id, task_name,
-                                        data_in, sem=sem,
-                                        max_retries=hw_retries)
-    if handle.status == HcStatus.SUCCESS or not allow_software:
-        return handle
+    def software():
+        order = int(task_name[3:])
+        symbols = qam_golden.pack_bits_to_symbols(data_in, order)
+        return (qam_sw_profile(order, len(data_in)),
+                qam_golden.modulate(symbols, order).tobytes())
 
-    _note_sw_fallback(os, "qam")
-    order = int(task_name[3:])
-    prof = qam_sw_profile(order, len(data_in))
-    yield Compute(prof.instrs, prof.mem_accesses,
-                  ((GL.USER_BASE + 0x20000, prof.ws_bytes),),
-                  prof.write_frac)
-    symbols = qam_golden.pack_bits_to_symbols(data_in, order)
-    handle.status = HcStatus.SUCCESS
-    handle.prr_id = None
-    handle.output = qam_golden.modulate(symbols, order).tobytes()
-    return handle
+    return (yield from _adaptive_compute(
+        os, task_table_id, task_name, data_in, kind="qam",
+        besteffort=besteffort, hw_retries=hw_retries, software=software))

@@ -41,12 +41,12 @@ MANAGER_FN_OFF = 0x3000
 class NativeSystem:
     """Bare-metal uCOS + in-OS hardware-task manager on one Machine."""
 
-    def __init__(self, machine: Machine, os: Ucos, *, trace: bool = True) -> None:
+    def __init__(self, machine: Machine, os: Ucos) -> None:
         self.machine = machine
         self.os = os
         self.cpu = machine.cpu
         self.sim = machine.sim
-        self.tracer = Tracer(enabled=trace)
+        self.tracer = Tracer()
         self.tracer.bind(self.sim.clock)
         self.metrics = MetricsRegistry()
         self.phys_base = machine.mem.guest_frames.alloc(16 << 20, align=1 << 20)

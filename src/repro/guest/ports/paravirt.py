@@ -21,7 +21,7 @@ from ..ucos import Tcb, Ucos
 class ParavirtUcos:
     """DomainRunner hosting one paravirtualized uCOS instance."""
 
-    def __init__(self, os: Ucos, *, seed: int | None = None) -> None:
+    def __init__(self, os: Ucos) -> None:
         self.os = os
         self.kernel = None
         self.pd = None

@@ -37,7 +37,7 @@ from ..machine import GIC_BASE, Machine
 from ..obs.accounting import VmAccounting
 from ..obs.flight import maybe_dump
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import DEFAULT_RING_CAPACITY, Tracer
+from ..obs.trace import Tracer
 from . import layout as L
 from .costs import KERNEL_COSTS as C
 from .exits import (
@@ -62,6 +62,9 @@ _ICCEOIR = GIC_BASE + gicdev.ICCEOIR
 _ICDISER = GIC_BASE + gicdev.ICDISER
 _ICDICER = GIC_BASE + gicdev.ICDICER
 
+#: Scheduler priority of every guest VM unless its creator says otherwise.
+GUEST_PRIORITY = 1
+
 
 @dataclass
 class KernelConfig:
@@ -71,26 +74,15 @@ class KernelConfig:
     quantum_ms: float = 33.0
     lazy_vfp: bool = True          # Table I: VFP is lazy-switched
     use_asid: bool = True          # Section III-C: no TLB flush on switch
-    trace: bool = True
-    #: Ring capacity of the tracer (oldest events drop beyond this).
-    trace_capacity: int = DEFAULT_RING_CAPACITY
     #: Also emit the high-rate events (per-hypercall, per-vIRQ-injection,
     #: timer fires) documented as *verbose* in docs/OBSERVABILITY.md.
     trace_verbose: bool = False
-    #: Priority levels: guests at 1, services (manager) at 2, idle 0.
-    guest_priority: int = 1
+    #: Priority levels: guests at ``GUEST_PRIORITY``, services (manager)
+    #: at 2, idle 0.
     service_priority: int = 2
     #: Services resume at the front of their circle (immediate dispatch);
     #: False = ablation where the manager waits its round-robin turn.
     service_resume_front: bool = True
-    #: Supervise the manager service: restart it on crash and on missed
-    #: request deadlines (docs/RECOVERY.md).  The deadline timer only
-    #: arms while a fault injector is attached, so fault-free runs stay
-    #: cycle-identical with this on.
-    supervise_manager: bool = True
-    #: Oldest outstanding manager request must be retired within this
-    #: budget or the supervisor declares the service hung.
-    manager_deadline_ms: float = 10.0
 
 
 @dataclass
@@ -114,9 +106,7 @@ class MiniNova:
         self.cpu = machine.cpu
         self.mem = machine.mem
         self.sim = machine.sim
-        self.tracer = Tracer(enabled=self.config.trace,
-                             capacity=self.config.trace_capacity,
-                             verbose=self.config.trace_verbose)
+        self.tracer = Tracer(verbose=self.config.trace_verbose)
         self.tracer.bind(self.sim.clock)
         self.metrics = MetricsRegistry()
         self._m_vm_switches = self.metrics.counter("kernel.vm_switches")
@@ -181,7 +171,6 @@ class MiniNova:
     def boot(self) -> None:
         """Install vectors, enable the MMU on the kernel space."""
         cpu, sys = self.cpu, self.cpu.sysregs
-        cpu.set_ledger("kernel")
         cpu.vbar = self.syms.vectors
         sys.write("VBAR", self.syms.vectors, privileged=True)
         sys.write("TTBR0", self.kmem.kernel_pt.l1_base, privileged=True)
@@ -245,7 +234,7 @@ class MiniNova:
 
     # ------------------------------------------------------------ VM creation
 
-    def create_vm(self, name: str, runner, *, priority: int | None = None,
+    def create_vm(self, name: str, runner, *, priority: int = GUEST_PRIORITY,
                   runnable: bool = True) -> ProtectionDomain:
         """Build a guest VM: address space, vCPU, vGIC, PD; enqueue it."""
         vm_id = self._next_vm_id
@@ -257,7 +246,7 @@ class MiniNova:
         vcpu = Vcpu(vm_id=vm_id, save_area=kobj + 0x40)
         pd = ProtectionDomain(
             vm_id=vm_id, name=name,
-            priority=self.config.guest_priority if priority is None else priority,
+            priority=priority,
             vcpu=vcpu, vgic=VGic(vm_id=vm_id, acct=self.acct), page_table=pt,
             asid=self.kmem.alloc_asid(), phys_base=phys_base,
             phys_size=L.GUEST_PHYS_CHUNK, runner=runner, kobj_addr=kobj)
@@ -350,7 +339,6 @@ class MiniNova:
             self._deliver_pending_virqs(pd)
             start = self.sim.now
             budget = pd.quantum_remaining
-            ledger = self.cpu.set_ledger(f"guest:{pd.name}")
             # Guest privilege view is constant within one chunk: it only
             # flips in kernel context (GUEST_MODE_SET, vIRQ injection).
             ctx = self.acct.guest_push(pd.vm_id, pd.vcpu.guest_kernel_mode)
@@ -358,7 +346,6 @@ class MiniNova:
                 exit_ = pd.runner.step(budget)
             except ServiceCrashed as crash:
                 self.acct.pop(ctx)
-                self.cpu.set_ledger(ledger)
                 used = self.sim.now - start
                 self.sched.charge(pd, used)
                 self._consume_vtime(pd, used)
@@ -367,7 +354,6 @@ class MiniNova:
                 self.supervisor.handle_crash(pd, crash)
                 continue
             self.acct.pop(ctx)
-            self.cpu.set_ledger(ledger)
             used = self.sim.now - start
             self.sched.charge(pd, used)
             self._consume_vtime(pd, used)
@@ -386,7 +372,6 @@ class MiniNova:
     def _vm_switch(self, to: ProtectionDomain) -> None:
         cpu, syms = self.cpu, self.syms
         switch_start = self.sim.now
-        prev_ledger = cpu.set_ledger("vm_switch")
         ctx = self.acct.push("kernel", to.vm_id)   # switch-in cost: successor
         # The switch runs in kernel context (reached via SVC/IRQ on real
         # hardware; the run loop raises privilege explicitly here).
@@ -458,7 +443,6 @@ class MiniNova:
         # Drop to PL0 for the incoming domain; IRQs are live while it runs.
         cpu.set_mode(Mode.USR)
         cpu.irq_masked = False
-        cpu.set_ledger(prev_ledger)
 
     def _gic_mask_set(self, pd: ProtectionDomain, *, enable: bool) -> None:
         """Reflect ``pd``'s enabled vIRQ set into the physical GIC.
@@ -512,7 +496,6 @@ class MiniNova:
 
     def _handle_physical_irq(self) -> None:
         cpu, syms = self.cpu, self.syms
-        prev_ledger = cpu.set_ledger("irq")
         # ACK/EOI/routing is unattributed kernel work; injection into a
         # specific VM re-pushes with that VM (see _inject_virq).
         ctx = self.acct.push("kernel", None)
@@ -524,7 +507,6 @@ class MiniNova:
         if irq == SPURIOUS_IRQ:
             cpu.return_from_exception()
             self.acct.pop(ctx)
-            cpu.set_ledger(prev_ledger)
             return
         self._m_irqs.inc()
         if self.tracer.verbose:
@@ -550,7 +532,6 @@ class MiniNova:
         # other device IRQs (UART...) are kernel-internal: nothing to inject
         cpu.return_from_exception()
         self.acct.pop(ctx)
-        cpu.set_ledger(prev_ledger)
 
     def _route_pl_irq(self, irq: int, line: int) -> None:
         """Hardware-task IRQ -> owning VM's vGIC (Fig. 6)."""
@@ -811,7 +792,6 @@ class MiniNova:
     def _vfp_lazy_switch(self, pd: ProtectionDomain) -> None:
         """UND trap from a disabled VFP: move banks now (Table I, lazy)."""
         cpu = self.cpu
-        prev_ledger = cpu.set_ledger("vfp_lazy")
         ctx = self.acct.push("kernel", pd.vm_id)
         cpu.take_exception("und")
         cpu.code(self.syms.und_entry, C.und_entry_stub)
@@ -833,7 +813,6 @@ class MiniNova:
         self.tracer.mark("vfp_lazy_switch", cat="sched", vm=pd.vm_id)
         cpu.return_from_exception()
         self.acct.pop(ctx)
-        cpu.set_ledger(prev_ledger)
 
     # -------------------------------------------------------------- hypercalls
 
@@ -854,7 +833,6 @@ class MiniNova:
 
     def _handle_hypercall(self, pd: ProtectionDomain, exit_: ExitHypercall) -> None:
         cpu, syms = self.cpu, self.syms
-        prev_ledger = cpu.set_ledger("hypercall")
         ctx = self.acct.push("kernel", pd.vm_id)
         hc_start = self.sim.now
         self.hypercall_count += 1
@@ -872,7 +850,6 @@ class MiniNova:
             exit_.result = HcStatus.ERR_ARG
             pd.runner.complete_hypercall(exit_)
             self.acct.pop(ctx)
-            cpu.set_ledger(prev_ledger)
             return
         self.metrics.counter("kernel.hypercalls", hc=num.name).inc()
         if self.tracer.verbose:
@@ -912,7 +889,6 @@ class MiniNova:
             self._m_hypercall_cycles.observe(self.sim.now - hc_start)
             pd.runner.complete_hypercall(exit_)
         self.acct.pop(ctx)
-        cpu.set_ledger(prev_ledger)
 
     def _dispatch_hypercall(self, pd: ProtectionDomain, num: Hc,
                             exit_: ExitHypercall) -> bool:

@@ -10,7 +10,7 @@ and drives recovery from the intent journal plus hardware ground truth.
 Health model: the heartbeat is *mailbox progress*.  Every enqueue into
 ``kernel.manager_queue`` arms (or keeps armed) a per-request deadline;
 every posted result refreshes it.  If the oldest outstanding request has
-not been retired within ``manager_deadline_ms`` the supervisor declares
+not been retired within ``MANAGER_DEADLINE_MS`` the supervisor declares
 the service hung and restarts it.  Crashes need no timer: the run loop
 catches :class:`~repro.common.errors.ServiceCrashed` escaping the
 manager's ``step()`` and calls straight into :meth:`handle_crash`.
@@ -29,6 +29,10 @@ from ..hwmgr.invariants import check_board
 from ..hwmgr.recovery import recover
 from ..obs.flight import maybe_dump
 from .memory import DACR_GUEST_USER
+
+#: Oldest outstanding manager request must be retired within this budget
+#: or the supervisor declares the service hung.
+MANAGER_DEADLINE_MS = 10.0
 
 
 class ManagerSupervisor:
@@ -51,13 +55,11 @@ class ManagerSupervisor:
 
     def _deadline_cycles(self) -> int:
         k = self.kernel
-        return ms_to_cycles(k.config.manager_deadline_ms,
-                            k.machine.params.cpu.hz)
+        return ms_to_cycles(MANAGER_DEADLINE_MS, k.machine.params.cpu.hz)
 
     def _armed_wanted(self) -> bool:
         k = self.kernel
-        return (k.config.supervise_manager and k.faults is not None
-                and k.manager_pd is not None)
+        return k.faults is not None and k.manager_pd is not None
 
     def note_enqueue(self) -> None:
         """A request entered the mailbox: start its deadline clock."""

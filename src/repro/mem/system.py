@@ -158,13 +158,6 @@ class MemorySystem:
         self.bus.write32(paddr, value)
         return cycles
 
-    # -- physical-side accesses (kernel with MMU context of its own) -------
-
-    def touch_phys(self, paddr: int, *, write: bool = False,
-                   fetch: bool = False) -> int:
-        kind = AccessKind.FETCH if fetch else AccessKind.DATA
-        return self.caches.access(paddr, write=write, kind=kind)
-
     # -- bulk workload traffic ---------------------------------------------
 
     def sample_block(self, vaddrs: np.ndarray, *, write_mask: np.ndarray,

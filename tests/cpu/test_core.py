@@ -107,15 +107,6 @@ def test_user_mode_not_privileged(cpu):
         assert cpu.privileged
 
 
-def test_ledger_attribution(booted, sim):
-    booted.set_ledger("a")
-    booted.instr(100)
-    booted.set_ledger("b")
-    booted.instr(200)
-    assert booted.cycle_ledger["a"] == 75
-    assert booted.cycle_ledger["b"] == 150
-
-
 def test_touch_range_walks_lines(booted, sim):
     t0 = sim.now
     booted.touch_range(0x0020_0000, 1024)

@@ -1,6 +1,7 @@
 """Fleet harnesses: byte-identity, chaos soak, migration proof, bench."""
 
 import json
+from dataclasses import replace
 
 from repro.faults.plan import BOARD_CRASH
 from repro.fleet.dispatcher import FleetConfig, KillSpec
@@ -50,8 +51,7 @@ def test_process_hosting_matches_inline():
     """Same seed, same kills: worker-process boards must reproduce the
     inline payload byte-for-byte (modulo the config's workers field)."""
     kills = (KillSpec(tick=4, board=0, site=BOARD_CRASH),)
-    cfg_proc = FleetConfig(**{**SMALL.as_dict(), "workers": "process",
-                              "tasks": tuple(SMALL.tasks)})
+    cfg_proc = replace(SMALL, workers="process")
     a = run_fleet(SMALL, kills=kills)
     b = run_fleet(cfg_proc, kills=kills)
     a["config"].pop("workers")

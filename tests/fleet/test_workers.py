@@ -4,7 +4,7 @@ import pytest
 
 from repro.fleet.workers import HOST_KINDS, HostDead, InlineHost, ProcessHost
 
-HOST_ARGS = dict(seed=5, tasks=("fft256", "qam16"), tick_hz=100)
+HOST_ARGS = dict(seed=5)
 SPEC = {"name": "t0", "tclass": "critical", "kind": "fft", "seed": 7,
         "frames": 4, "checkpoint_every": 2}
 

@@ -19,6 +19,7 @@ from repro.mem.descriptors import AP, DomainType, dacr_set
 from repro.mem.ptables import PageTable
 from repro.mem.system import MemorySystem
 from repro.mem.tlb import TlbEntry
+from repro.obs.aggregate import MetricSnapshot
 
 SLOW_PARAMS = DEFAULT_PARAMS.with_(fastpath=False)
 
@@ -34,13 +35,20 @@ def _patch_default_params(monkeypatch, params):
 
 
 def _scenario_state(sc):
-    """Every cycle-domain observable of a virtualized run."""
+    """Every cycle-domain observable of a virtualized run.
+
+    The metric snapshot drops only the ``sim.fastpath.*`` counters, which
+    count the fast path's own hits and so differ by construction.
+    """
     k = sc.kernel
     caches = sc.machine.mem.caches
     tlb = sc.machine.mem.mmu.tlb
+    metrics = MetricSnapshot.of(k.metrics).to_dict()
+    metrics["counters"] = {n: v for n, v in metrics["counters"].items()
+                           if not n.startswith("sim.fastpath.")}
     return {
         "now": k.sim.now,
-        "ledger": dict(sc.machine.cpu.cycle_ledger),
+        "metrics": metrics,
         "caches": {n: vars(s) for n, s in caches.snapshot().items()},
         "dram_accesses": caches.dram_accesses,
         "tlb": vars(tlb.stats.snapshot()),
