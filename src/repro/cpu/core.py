@@ -79,11 +79,13 @@ class Cpu:
         """
         lines = max(1, (n_instr + _INSTR_PER_LINE - 1) // _INSTR_PER_LINE)
         line_bytes = self.params.l1i.line
-        cyc = 0
-        for i in range(lines):
-            lat = self.mem.touch(va + i * line_bytes, privileged=self.privileged,
-                                 fetch=True)
-            cyc += lat if i == 0 else min(lat, self._PREFETCH_COVERED)
+        touch = self.mem.touch
+        privileged = self.privileged
+        covered = self._PREFETCH_COVERED
+        cyc = touch(va, privileged=privileged, fetch=True)
+        for i in range(1, lines):
+            cyc += min(touch(va + i * line_bytes, privileged=privileged,
+                             fetch=True), covered)
         cyc += self.timing.instr_cycles(n_instr)
         self._charge(cyc)
 
@@ -99,11 +101,13 @@ class Cpu:
                     stride: int | None = None) -> None:
         """Sequential timed sweep over [base, base+size)."""
         step = stride or self.params.l1d.line
+        touch = self.mem.touch
+        privileged = self.privileged
         va = base
         end = base + size
         cyc = 0
         while va < end:
-            cyc += self.mem.touch(va, write=write, privileged=self.privileged)
+            cyc += touch(va, write=write, privileged=privileged)
             va += step
         self._charge(cyc)
 

@@ -9,6 +9,8 @@ the stream's total memory latency from the sampled mean.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from ..common.rng import make_rng
@@ -25,7 +27,8 @@ class GuestExecutor:
         self.rng = make_rng(seed, stream=stream)
         self.sample = cpu.params.bulk_sample
         self._line = cpu.params.l1d.line
-        # Per-regions-tuple precomputed (bases, sizes, cdf): region tuples
+        # Per-regions-tuple precomputed (bases, sizes, cdf), as arrays for
+        # the vector draws and as lists for the scalar draw: region tuples
         # are tiny and repeat for every chunk of the same task, and
         # rebuilding them cost more than the draws they weight.
         self._region_cache: dict[tuple, tuple] = {}
@@ -48,13 +51,46 @@ class GuestExecutor:
         if mem_accesses <= 0 or not regions:
             return
         n_sample = max(1, mem_accesses // self.sample)
-        vaddrs = self._gen_addrs(n_sample, regions)
-        writes = self.rng.random(n_sample) < write_frac
+        if n_sample == 1:
+            # The idle-task regime: one address per chunk.  Scalar draws
+            # consume the identical PCG64 stream as their size-1 vector
+            # forms, so this is the n = 1 case of the branch below minus
+            # the per-call numpy array overhead.
+            vaddrs = [self._draw_addr(regions)]
+            writes = [self.rng.random() < write_frac]
+        else:
+            vaddrs = self._gen_addrs(n_sample, regions).tolist()
+            writes = (self.rng.random(n_sample) < write_frac).tolist()
         extra = cpu.mem.sample_block(
             vaddrs, write_mask=writes, privileged=cpu.privileged,
             scale=max(1, mem_accesses // n_sample))
         # sample_block returns extrapolated latency for the whole stream.
         cpu._charge(extra)
+
+    def _region_tables(self, regions: tuple[tuple[int, int], ...]) -> tuple:
+        cached = self._region_cache.get(regions)
+        if cached is None:
+            bases = np.array([self.addr_base + b for b, _ in regions],
+                             dtype=np.int64)
+            sizes = np.array([s for _, s in regions], dtype=np.int64)
+            cdf = (sizes / sizes.sum()).cumsum()
+            cdf /= cdf[-1]
+            cached = ((bases, sizes, cdf),
+                      (bases.tolist(), sizes.tolist(), cdf.tolist()))
+            self._region_cache[regions] = cached
+        return cached
+
+    def _draw_addr(self, regions: tuple[tuple[int, int], ...]) -> int:
+        """One sampled address: ``_gen_addrs(1, regions)[0]`` drawn as
+        Python scalars, in the same order from the same stream."""
+        rng = self.rng
+        line = self._line
+        bases, sizes, cdf = self._region_tables(regions)[1]
+        i = bisect_right(cdf, rng.random())
+        offset = int(rng.random() * (sizes[i] - line))
+        if rng.integers(0, 3):
+            return bases[i] + offset // line * line
+        return bases[i] + (offset & ~3)
 
     def _gen_addrs(self, n: int, regions: tuple[tuple[int, int], ...]) -> np.ndarray:
         rng = self.rng
@@ -63,16 +99,7 @@ class GuestExecutor:
         # ``rng.choice(k, size=n, p=weights)`` — one uniform draw searched
         # against the weight CDF — so it consumes the identical random
         # stream while the CDF is computed once per regions tuple.
-        cached = self._region_cache.get(regions)
-        if cached is None:
-            bases = np.array([self.addr_base + b for b, _ in regions],
-                             dtype=np.int64)
-            sizes = np.array([s for _, s in regions], dtype=np.int64)
-            cdf = (sizes / sizes.sum()).cumsum()
-            cdf /= cdf[-1]
-            cached = (bases, sizes, cdf)
-            self._region_cache[regions] = cached
-        bases, sizes, cdf = cached
+        bases, sizes, cdf = self._region_tables(regions)[0]
         region_idx = cdf.searchsorted(rng.random(n), side="right")
         offsets = (rng.random(n) * (sizes[region_idx] - self._line)).astype(np.int64)
         # Sequential bias: walk 2 of every 3 samples forward a line.

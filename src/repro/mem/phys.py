@@ -87,7 +87,8 @@ class Bus:
         if not is_aligned(base, 4):
             raise MemoryError_(f"MMIO base {hexaddr(base)} not word aligned")
         end = base + size
-        if self.dram.contains(base) or self.dram.contains(end - 1):
+        dram = self.dram
+        if base < dram.base + dram.size and dram.base < end:
             raise MemoryError_(f"MMIO window {name} overlaps DRAM")
         for r in self._regions:
             if base < r.base + r.size and r.base < end:
@@ -105,6 +106,11 @@ class Bus:
         return None
 
     def is_device(self, paddr: int) -> bool:
+        # DRAM first: map_device keeps every MMIO window off DRAM, and
+        # nearly every timed access lands there.
+        dram = self.dram
+        if dram.base <= paddr < dram.base + dram.size:
+            return False
         return self._find(paddr) is not None
 
     def read32(self, paddr: int) -> int:

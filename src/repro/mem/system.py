@@ -13,6 +13,8 @@ Two access styles:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from ..cache.hierarchy import AccessKind, CacheHierarchy
@@ -35,8 +37,7 @@ class MemorySystem:
         self.guest_frames = FrameAllocator(mm.dram_base + 32 * 1024 * 1024,
                                            mm.dram_size - 32 * 1024 * 1024)
         # Fill-pressure amplification state (see sample_block).
-        import numpy as _np
-        self._press_rng = _np.random.default_rng(0xF111)
+        self._press_rng = np.random.default_rng(0xF111)
         self._l2_fill_acc = 0
         self._tlb_fill_acc = 0
         self._l2_press_threshold = params.l2.sets * params.l2.ways // 2
@@ -160,11 +161,13 @@ class MemorySystem:
 
     # -- bulk workload traffic ---------------------------------------------
 
-    def sample_block(self, vaddrs: np.ndarray, *, write_mask: np.ndarray,
-                     privileged: bool, scale: int) -> int:
+    def sample_block(self, vaddrs: Sequence[int], *,
+                     write_mask: Sequence[bool], privileged: bool,
+                     scale: int) -> int:
         """Push sampled accesses through MMU+caches; extrapolate total cycles.
 
-        ``vaddrs``: sampled virtual addresses (1/scale of the real stream).
+        ``vaddrs``: sampled virtual addresses (1/scale of the real stream),
+        with ``write_mask`` their write flags, as plain Python sequences.
         Returns extrapolated cycles for the *full* stream's memory latency.
         """
         if len(vaddrs) == 0:
@@ -180,7 +183,7 @@ class MemorySystem:
             total = 0
             translate = self.mmu.translate
             caches_access = self.caches.access
-            for va, w in zip(vaddrs.tolist(), write_mask.tolist()):
+            for va, w in zip(vaddrs, write_mask):
                 paddr, c = translate(va, privileged=privileged, write=w)
                 c += caches_access(paddr, write=w, kind=AccessKind.DATA)
                 total += c
@@ -196,29 +199,34 @@ class MemorySystem:
         # the polluter itself.  Gate the amplification on occupancy so a
         # cache-fitting footprint (1 guest) exerts no pressure while an
         # over-subscribed one (3-4 guests) exerts full pressure.
+        # An accumulator reaches its threshold only right after a nonzero
+        # add (every reset leaves it <= 0), so a block that took no new
+        # misses at a level adds exactly 0 and skips that level's gate.
         l2 = self.caches.l2
-        occ = l2.resident_lines / (l2.params.sets * l2.params.ways)
-        l2_gate = min(1.0, max(0.0, (occ - 0.6) / 0.35))
+        l2_new = l2.stats.misses - l2_misses0
+        if l2_new:
+            occ = l2.resident_lines / (l2.params.sets * l2.params.ways)
+            l2_gate = min(1.0, max(0.0, (occ - 0.6) / 0.35))
+            self._l2_fill_acc += int(l2_new * (scale - 1) * l2_gate)
+            if self._l2_fill_acc >= self._l2_press_threshold:
+                dropped = l2.clear_random_sets(0.5, self._press_rng)
+                # Pre-credit the refill of the dropped lines: their re-fetch
+                # misses are a *consequence* of this modelled eviction, not
+                # new pressure — otherwise the model feeds back into
+                # permanent thrash even for cache-fitting footprints.
+                self._l2_fill_acc = -dropped * (scale - 1)
         tlb = self.mmu.tlb
-        tlb_occ = tlb.resident / tlb.params.entries
-        tlb_gate = min(1.0, max(0.0, (tlb_occ - 0.6) / 0.35))
-        self._l2_fill_acc += int(
-            (self.caches.l2.stats.misses - l2_misses0) * (scale - 1) * l2_gate)
-        self._tlb_fill_acc += int(
-            (self.mmu.tlb.stats.misses - tlb_misses0) * (scale - 1) * tlb_gate)
-        if self._l2_fill_acc >= self._l2_press_threshold:
-            dropped = self.caches.l2.clear_random_sets(0.5, self._press_rng)
-            # Pre-credit the refill of the dropped lines: their re-fetch
-            # misses are a *consequence* of this modelled eviction, not new
-            # pressure — otherwise the model feeds back into permanent
-            # thrash even for cache-fitting footprints.
-            self._l2_fill_acc = -dropped * (scale - 1)
-        if self._tlb_fill_acc >= self._tlb_press_threshold:
-            dropped = self.mmu.tlb.clear_random_sets(0.5, self._press_rng)
-            self._tlb_fill_acc = -dropped * (scale - 1)
+        tlb_new = tlb.stats.misses - tlb_misses0
+        if tlb_new:
+            tlb_occ = tlb.resident / tlb.params.entries
+            tlb_gate = min(1.0, max(0.0, (tlb_occ - 0.6) / 0.35))
+            self._tlb_fill_acc += int(tlb_new * (scale - 1) * tlb_gate)
+            if self._tlb_fill_acc >= self._tlb_press_threshold:
+                dropped = tlb.clear_random_sets(0.5, self._press_rng)
+                self._tlb_fill_acc = -dropped * (scale - 1)
         return total * scale
 
-    def _sample_fast(self, vaddrs: np.ndarray, write_mask: np.ndarray,
+    def _sample_fast(self, vaddrs: Sequence[int], write_mask: Sequence[bool],
                      privileged: bool) -> int:
         """Fused reformulation of the per-access translate+access loop.
 
@@ -265,7 +273,7 @@ class MemorySystem:
         lat_dram = caches._lat_dram
         wb_cost = lat_dram // 4
         try:
-            for va, w in zip(vaddrs.tolist(), write_mask.tolist()):
+            for va, w in zip(vaddrs, write_mask):
                 c = 0
                 if enabled:
                     vpn = va >> 12

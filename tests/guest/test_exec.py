@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.params import DEFAULT_PARAMS
 from repro.cpu.core import Cpu
@@ -79,3 +81,61 @@ def test_deterministic_stream(ex):
     ex2 = GuestExecutor(cpu, addr_base=0, seed=5, stream="t")
     b = ex2._gen_addrs(50, ((0x4000_0000, 0x10000),))
     assert (a == b).all()
+
+
+class _RecordingCpu:
+    """Just enough of a Cpu for ``bulk``: records each sample block."""
+
+    params = DEFAULT_PARAMS
+    privileged = False
+
+    def __init__(self):
+        self.mem = self
+        self.blocks = []
+
+    def instr(self, n):
+        pass
+
+    def _charge(self, cycles):
+        pass
+
+    def sample_block(self, vaddrs, *, write_mask, privileged, scale):
+        self.blocks.append((list(vaddrs), list(write_mask)))
+        return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1),
+       addr_base=st.integers(0, 0x7FFF_F000),
+       regions=st.lists(st.tuples(st.integers(0, 0x3FFF_FFFF),
+                                  st.integers(1, 1 << 24)),
+                        min_size=1, max_size=3).map(tuple),
+       write_frac=st.floats(0.0, 1.0),
+       draws=st.integers(1, 4))
+def test_single_sample_bulk_matches_vector_stream(seed, addr_base, regions,
+                                                  write_frac, draws):
+    """The scalar n = 1 path draws what the vector path draws at n = 1.
+
+    ``ref`` replays the former formulation: ``_gen_addrs(1, ...)`` then a
+    size-1 write draw.  Repeated draws cover both halves of PCG64's
+    buffered 32-bit output, which ``integers(0, 3)`` consumes.
+    """
+    cpu = _RecordingCpu()
+    ex = GuestExecutor(cpu, addr_base=addr_base, seed=seed, stream="t")
+    ref = GuestExecutor(cpu, addr_base=addr_base, seed=seed, stream="t")
+    for _ in range(draws):
+        ex.bulk(100, ex.sample, regions, write_frac)      # n_sample == 1
+        want_va = ref._gen_addrs(1, regions).tolist()
+        want_w = (ref.rng.random(1) < write_frac).tolist()
+        assert cpu.blocks[-1] == (want_va, want_w)
+        assert ex.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def test_multi_sample_bulk_passes_plain_lists():
+    cpu = _RecordingCpu()
+    ex = GuestExecutor(cpu, addr_base=0, seed=5, stream="t")
+    ex.bulk(100, 8 * ex.sample, ((0x4000_0000, 0x10000),))
+    vaddrs, writes = cpu.blocks[-1]
+    assert len(vaddrs) == len(writes) == 8
+    assert all(type(v) is int for v in vaddrs)
+    assert all(type(w) is bool for w in writes)

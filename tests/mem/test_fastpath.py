@@ -72,6 +72,29 @@ class TestRunEquivalence:
             states.append(_scenario_state(sc))
         assert states[0] == states[1]
 
+    def test_single_sample_regime_identical(self, monkeypatch):
+        """T_hw-only guests at 1 kHz: every bulk call samples one address,
+        the regime the scalar draw path serves."""
+        from repro.eval.scenarios import build_virtualized
+
+        sizes = []
+        sample_block = MemorySystem.sample_block
+
+        def spy(mem, vaddrs, **kw):
+            sizes.append(len(vaddrs))
+            return sample_block(mem, vaddrs, **kw)
+
+        monkeypatch.setattr(MemorySystem, "sample_block", spy)
+        states = []
+        for params in (DEFAULT_PARAMS, SLOW_PARAMS):
+            sc = build_virtualized(
+                4, verify=True, with_workloads=False, tick_hz=1000,
+                machine_config=MachineConfig(params=params))
+            sc.run_ms(60.0)
+            states.append(_scenario_state(sc))
+        assert states[0] == states[1]
+        assert sizes and set(sizes) == {1}
+
     def test_bench_cycle_series_identical(self, monkeypatch):
         from repro.eval.bench import run_bench, strip_volatile
 

@@ -70,6 +70,15 @@ def test_window_overlapping_dram_rejected(bus):
         bus.map_device(bus.dram.base + 0x1000, 0x1000, FakeDevice(), "bad")
 
 
+def test_window_enclosing_dram_rejected(bus):
+    # is_device answers False for DRAM without consulting the windows,
+    # which is only right while no window overlaps DRAM at all.
+    dram = bus.dram
+    with pytest.raises(MemoryError_):
+        bus.map_device(dram.base - 0x1000, dram.size + 0x2000, FakeDevice(),
+                       "bad")
+
+
 def test_two_disjoint_windows(bus):
     d1, d2 = FakeDevice(), FakeDevice()
     bus.map_device(0xF000_0000, 0x1000, d1, "a")
