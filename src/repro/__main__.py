@@ -240,15 +240,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'series':26} {'count':>6} {'p50':>10} {'p90':>10} "
           f"{'p99':>10}  unit")
     for sname, s in payload["series"].items():
-        if not s["count"] or "value" in s:
-            continue                      # value series printed below
+        if not s["count"]:
+            continue
         us = SeriesSummary(**s).scaled(1e6 / hz, "us")
         print(f"{sname:26} {us.count:>6} {us.p50:>10.2f} {us.p90:>10.2f} "
               f"{us.p99:>10.2f}  {us.unit}")
-    cps = payload["series"]["sim_cycles_per_sec"]["value"]
-    wall = payload["series"]["wall_clock_s"]["value"]
-    print(f"throughput: {cps:,.0f} simulated cycles per host second "
-          f"(run phase {wall:.3f} s wall)")
     acct = payload["accounting"]
     print(f"accounting: {len(acct['vms'])} VMs, "
           f"kernel {acct['kernel_cycles']} cycles, "
@@ -518,6 +514,7 @@ def cmd_inventory(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .eval.bench import PROFILES
     from .obs.stream import DEFAULT_INTERVAL_MS
 
     ap = argparse.ArgumentParser(prog="python -m repro", description=__doc__)
@@ -583,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     p_bench = sub.add_parser(
         "bench", parents=[seed_p, out_p, live_p],
         help="run the paper scenario, write BENCH_<name>.json")
-    p_bench.add_argument("--name", default="paper",
+    p_bench.add_argument("--name", default="paper", choices=sorted(PROFILES),
                          help="bench profile / artifact name (default: paper)")
     p_bench.add_argument("--quick", action="store_true",
                          help="CI smoke profile (fewer guests, shorter run)")

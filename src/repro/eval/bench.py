@@ -17,8 +17,6 @@ interactively.
 
 from __future__ import annotations
 
-import json
-import time
 from typing import Any
 
 from ..obs.accounting import VmAccounting
@@ -34,15 +32,9 @@ from .scenarios import VirtScenario, build_virtualized
 
 #: Bump when the artifact layout changes; ``tools/bench_compare.py``
 #: refuses to diff artifacts of different major versions.
-#: v2: adds the ``wall_clock_s`` / ``sim_cycles_per_sec`` value series
-#: (host-time measurements; see VOLATILE_SERIES and docs/PERFORMANCE.md).
-SCHEMA_VERSION = 2
-
-#: Series measured in *host* time rather than simulated cycles.  They are
-#: the only nondeterministic part of the artifact: the byte-identity
-#: contract (docs/BENCHMARKS.md) applies to the artifact with these
-#: stripped — use :func:`strip_volatile` before byte-comparing.
-VOLATILE_SERIES = ("sim_cycles_per_sec", "wall_clock_s")
+#: v3: drops the host-time ``wall_clock_s`` / ``sim_cycles_per_sec``
+#: series; host speed is measured by ``perfbench/`` alone.
+SCHEMA_VERSION = 3
 
 #: Scenario shapes.  ``paper`` ~ the Section V setup; ``quick`` is the CI
 #: smoke profile (same structure, shorter horizon).
@@ -101,35 +93,22 @@ def run_bench(name: str = "paper", *, guests: int | None = None,
     is an observational tap on the engine: it never schedules events, so
     every cycle-exact series is unchanged by these options.
     """
-    profile = PROFILES.get(name, PROFILES["paper"])
+    if name not in PROFILES:
+        raise ValueError(f"unknown bench profile {name!r} "
+                         f"(known: {', '.join(sorted(PROFILES))})")
+    profile = PROFILES[name]
     guests = profile["guests"] if guests is None else guests
     ms = profile["ms"] if ms is None else ms
     sc = build_virtualized(guests, seed=seed)
     sink = (open(stream_out, "w", encoding="utf-8")
             if stream_out is not None else None)
-    # Stream teardown is host-side bookkeeping, outside the timed run
-    # phase (wall measures the engine, not the telemetry flush).
     with live_stream(sc, sink=sink, interval_ms=stream_interval_ms,
                      slo_rules=slo_rules, source=f"bench:{name}", seed=seed,
                      meta={"guests": guests, "ms": ms}) as (_, engine):
-        t0 = time.perf_counter()
         sc.run_ms(ms)
-        wall = time.perf_counter() - t0
     k = sc.kernel
     acct: VmAccounting = k.acct
     series = {n: s.as_dict() for n, s in sorted(collect_series(sc).items())}
-    # Engine-throughput value series (schema v2): host wall-clock of the
-    # *run* phase only (scenario construction excluded) and the derived
-    # simulated-cycles-per-host-second rate.  ``direction`` tells the
-    # regression gate which way is worse; wall-clock is informational
-    # (machine-dependent) and never gated directly.
-    series["wall_clock_s"] = {
-        "count": 1, "kind": "value", "unit": "s",
-        "direction": "none", "value": round(wall, 6)}
-    series["sim_cycles_per_sec"] = {
-        "count": 1, "kind": "value", "unit": "cycles/s",
-        "direction": "higher",
-        "value": round(k.sim.now / wall, 1) if wall > 0 else 0.0}
     extra: dict[str, Any] = {}
     if engine is not None:
         extra["slo"] = engine.summary()
@@ -192,26 +171,6 @@ def run_bench(name: str = "paper", *, guests: int | None = None,
         },
         "accounting": acct.snapshot(),
     }
-
-
-def strip_volatile(payload: dict[str, Any]) -> dict[str, Any]:
-    """Copy of the artifact without its host-time series.
-
-    Two same-seed artifacts must compare equal (and serialize
-    byte-identically) after this — it is the determinism contract the
-    fast path is held to (docs/PERFORMANCE.md §5).
-    """
-    out = dict(payload)
-    out["series"] = {n: s for n, s in payload["series"].items()
-                     if n not in VOLATILE_SERIES}
-    return out
-
-
-def write_bench(payload: dict[str, Any], path: str) -> None:
-    """Write the artifact deterministically (sorted keys, stable floats)."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def default_artifact_path(name: str) -> str:

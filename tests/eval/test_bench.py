@@ -9,14 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.eval.bench import (
     PROFILES,
     SCHEMA_VERSION,
-    VOLATILE_SERIES,
     default_artifact_path,
     run_bench,
-    strip_volatile,
-    write_bench,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -47,7 +45,6 @@ REQUIRED_SERIES = (
     "hwreq_total_cycles",
     "dpr_entry_cycles", "dpr_decide_cycles", "dpr_pcap_cycles",
     "dpr_resume_cycles", "reconfig_cycles",
-    "wall_clock_s", "sim_cycles_per_sec",
 )
 
 
@@ -92,47 +89,27 @@ class TestRunBench:
         assert lc["checkpoint_cycles"]["count"] == 0
         assert lc["restore_cycles"]["count"] == 0
 
-    def test_throughput_value_series(self, payload):
-        """Schema v2: host-time value series with gating directions."""
-        wall = payload["series"]["wall_clock_s"]
-        cps = payload["series"]["sim_cycles_per_sec"]
-        assert wall["kind"] == cps["kind"] == "value"
-        assert wall["count"] == cps["count"] == 1
-        assert wall["direction"] == "none" and wall["unit"] == "s"
-        assert cps["direction"] == "higher" and cps["unit"] == "cycles/s"
-        assert wall["value"] > 0
-        # cps == simulated cycles / run-phase wall, to rounding.
-        assert cps["value"] == pytest.approx(
-            payload["totals"]["cycles"] / wall["value"], rel=1e-3)
-
-    def test_strip_volatile_removes_only_host_time(self, payload):
-        stripped = strip_volatile(payload)
-        for name in VOLATILE_SERIES:
-            assert name in payload["series"]
-            assert name not in stripped["series"]
-        assert set(payload["series"]) - set(stripped["series"]) \
-            == set(VOLATILE_SERIES)
-        for key in payload:
-            if key != "series":
-                assert stripped[key] == payload[key]
-
-    def test_same_seed_reruns_identical_after_strip(self):
-        """The determinism contract of docs/PERFORMANCE.md §5."""
-        a = run_bench("quick", guests=1, ms=20.0, seed=9)
-        b = run_bench("quick", guests=1, ms=20.0, seed=9)
-        assert strip_volatile(a) == strip_volatile(b)
-
     def test_profiles_and_artifact_path(self):
         assert set(PROFILES) == {"paper", "quick"}
         assert default_artifact_path("paper") == "BENCH_paper.json"
 
-    def test_write_bench_round_trips_deterministically(self, payload,
-                                                       tmp_path):
+    def test_unknown_profile_rejected(self, capsys):
+        with pytest.raises(ValueError, match="unknown bench profile 'typo'"):
+            run_bench("typo")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--name", "typo"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'typo'" in capsys.readouterr().err
+
+    def test_write_bench_round_trips_deterministically(self, tmp_path):
+        """The determinism contract of docs/PERFORMANCE.md §5: two
+        same-seed CLI runs write byte-identical artifacts."""
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_bench(payload, str(a))
-        write_bench(json.loads(a.read_text()), str(b))
+        for p in (a, b):
+            assert main(["bench", "--quick", "--ms", "20",
+                         "--out", str(p)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        assert json.loads(a.read_text()) == payload
+        assert json.loads(a.read_text())["name"] == "quick"
 
 
 def _artifact(series):
@@ -189,17 +166,17 @@ class TestCompare:
         assert regressions == [] and lines == []
 
     def test_throughput_drop_beyond_threshold_fails(self):
-        base = _artifact({"sim_cycles_per_sec": _value(5e8, "higher")})
-        new = _artifact({"sim_cycles_per_sec": _value(4e8, "higher")})
+        base = _artifact({"fleet_goodput": _value(50, "higher")})
+        new = _artifact({"fleet_goodput": _value(40, "higher")})
         regressions, lines = bench_compare.compare(
             base, new, threshold_pct=10.0, metrics=("mean",))
-        assert regressions == ["sim_cycles_per_sec"]
+        assert regressions == ["fleet_goodput"]
         assert any("REGRESS" in line for line in lines)
 
     def test_throughput_gain_and_small_drop_pass(self):
-        base = _artifact({"sim_cycles_per_sec": _value(5e8, "higher")})
-        for new_value in (6e8, 4.6e8):       # +20% and -8%
-            new = _artifact({"sim_cycles_per_sec": _value(new_value, "higher")})
+        base = _artifact({"fleet_goodput": _value(50, "higher")})
+        for new_value in (60, 46):       # +20% and -8%
+            new = _artifact({"fleet_goodput": _value(new_value, "higher")})
             regressions, _ = bench_compare.compare(
                 base, new, threshold_pct=10.0, metrics=("mean",))
             assert regressions == [], new_value
@@ -220,11 +197,11 @@ class TestCompare:
         assert any("not gated" in line for line in lines)
 
     def test_vanished_gated_value_series_fails(self):
-        base = _artifact({"sim_cycles_per_sec": _value(5e8, "higher")})
+        base = _artifact({"fleet_goodput": _value(50, "higher")})
         new = _artifact({})
         regressions, lines = bench_compare.compare(
             base, new, threshold_pct=10.0, metrics=("mean",))
-        assert regressions == ["sim_cycles_per_sec"]
+        assert regressions == ["fleet_goodput"]
         assert any("MISSING" in line for line in lines)
 
     def test_schema_mismatch_exits_2(self):

@@ -20,12 +20,15 @@ The report is a per-series table showing **every** gated statistic
 starred — not just the worst offender — so a two-axis regression is
 visible as such.  The failure summary lists every offending series.
 
-Scalar *value* series (schema v2: ``{"kind": "value", "value": ...}``)
-are gated by their ``direction`` field: ``"higher"`` means a relative
-*decrease* beyond the threshold fails (throughput, e.g.
-``sim_cycles_per_sec``), ``"lower"`` means an increase fails, and
-``"none"`` is reported but never gated (e.g. ``wall_clock_s``, which is
-machine-dependent).
+Scalar *value* series (``{"kind": "value", "value": ...}``) are gated
+by their ``direction`` field: ``"higher"`` means a relative *decrease*
+beyond the threshold fails (e.g. ``fleet_goodput``), ``"lower"`` means
+an increase fails, and ``"none"`` is reported but never gated (e.g.
+``fleet_migrations``).
+
+Artifacts are deterministic, so CI also ``cmp``s them against the
+baseline; this tool is the readable per-series diff beside that gate.
+Host speed is not in artifacts: see ``tools/perf_gate.py``.
 
 Exit status: 0 = clean, 1 = regression(s), 2 = unusable input (schema
 mismatch, unreadable file).
@@ -114,7 +117,7 @@ def compare(baseline: dict, new: dict, *, threshold_pct: float,
         if not base.get("count"):
             continue                    # nothing to regress against
         cur = new_series.get(name)
-        if "value" in base:             # scalar value series (schema v2)
+        if "value" in base:             # scalar value series
             direction = base.get("direction", "none")
             unit = base.get("unit", "")
             if cur is None or "value" not in cur:
