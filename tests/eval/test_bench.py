@@ -89,6 +89,14 @@ class TestRunBench:
         assert lc["checkpoint_cycles"]["count"] == 0
         assert lc["restore_cycles"]["count"] == 0
 
+    def test_same_seed_reruns_identical_after_strip(self):
+        """The determinism contract of docs/PERFORMANCE.md §5. The
+        artifact carries no host time, so nothing is stripped: two
+        same-seed runs must be equal as they stand."""
+        a = run_bench("quick", guests=1, ms=20.0, seed=9)
+        b = run_bench("quick", guests=1, ms=20.0, seed=9)
+        assert a == b
+
     def test_profiles_and_artifact_path(self):
         assert set(PROFILES) == {"paper", "quick"}
         assert default_artifact_path("paper") == "BENCH_paper.json"
